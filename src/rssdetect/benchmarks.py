@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import PairSet
-from .detector import Decision, Hypothesis, sigmoid
+from .detector import Decision, Hypothesis, checked_pair, sigmoid
 from .seeding import as_seed_sequence
 
 
@@ -202,10 +202,7 @@ def dbc_statistic_batch(model: DbcModel, f: np.ndarray, f_prime: np.ndarray) -> 
 
 def decide_dbc(model: DbcModel, f: np.ndarray, f_prime: np.ndarray) -> Decision:
     """H1 iff ||f - f'||_q exceeds the tuned threshold; ties go to H0."""
-    f = np.asarray(f, dtype=np.float64)
-    f_prime = np.asarray(f_prime, dtype=np.float64)
-    if f.shape != f_prime.shape:
-        raise ValueError(f"shape mismatch: {f.shape} vs {f_prime.shape}")
+    f, f_prime = checked_pair(f, f_prime)
     return _margin_decision(float(dbc_statistic_batch(model, f, f_prime)))
 
 
@@ -218,10 +215,7 @@ def kmc_statistic_batch(model: KmcModel, f: np.ndarray, f_prime: np.ndarray) -> 
 
 def decide_kmc(model: KmcModel, f: np.ndarray, f_prime: np.ndarray) -> Decision:
     """DBC(l2) rule in centroid-distance space; ties go to H0."""
-    f = np.asarray(f, dtype=np.float64)
-    f_prime = np.asarray(f_prime, dtype=np.float64)
-    if f.shape != f_prime.shape:
-        raise ValueError(f"shape mismatch: {f.shape} vs {f_prime.shape}")
+    f, f_prime = checked_pair(f, f_prime)
     if f.shape[-1] != model.centroids.shape[1]:
         raise ValueError(
             f"feature length {f.shape[-1]} does not match centroids "

@@ -118,12 +118,24 @@ def statistic_batch(model: DetectorModel, f: np.ndarray, f_prime: np.ndarray) ->
     return (g_fwd + g_rev) / 2.0
 
 
-def statistic(model: DetectorModel, f: np.ndarray, f_prime: np.ndarray) -> float:
-    """Symmetrized detection statistic g(f, f') = (g~(f,f') + g~(f',f)) / 2."""
+def checked_pair(f, f_prime) -> tuple[np.ndarray, np.ndarray]:
+    """Both feature vectors as float64, after checking equal shapes and finite entries.
+
+    Every single-pair decision rule calls this first, so a NaN or inf
+    input raises instead of yielding a decision.
+    """
     f = np.asarray(f, dtype=np.float64)
     f_prime = np.asarray(f_prime, dtype=np.float64)
+    if f.shape != f_prime.shape:
+        raise ValueError(f"shape mismatch: {f.shape} vs {f_prime.shape}")
     if not (np.all(np.isfinite(f)) and np.all(np.isfinite(f_prime))):
         raise ValueError("feature vectors must be finite")
+    return f, f_prime
+
+
+def statistic(model: DetectorModel, f: np.ndarray, f_prime: np.ndarray) -> float:
+    """Symmetrized detection statistic g(f, f') = (g~(f,f') + g~(f',f)) / 2."""
+    f, f_prime = checked_pair(f, f_prime)
     return float(statistic_batch(model, f[None, :], f_prime[None, :])[0])
 
 

@@ -218,7 +218,8 @@ def run_iteration(
         elif alg == "cheat":
             # provenance oracle: reads the true location ids, so it is
             # always right; a harness upper-bound check
-            out[alg] = 1.0
+            got_h1 = test_pairs.location_a != test_pairs.location_b
+            out[alg] = float(np.count_nonzero(got_h1 == test_pairs.labels) / len(test_pairs))
     return out
 
 

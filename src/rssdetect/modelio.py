@@ -35,8 +35,6 @@ _TAG_DBC1 = b"DBC1"
 _TAG_DBC2 = b"DBC2"
 _TAG_KMC = b"KMC\0"
 
-Model = "DetectorModel | DbcModel | KmcModel"
-
 
 def _f64(arr) -> bytes:
     return np.ascontiguousarray(arr, dtype="<f8").tobytes()

@@ -10,6 +10,18 @@ true RSS; that fluctuation is the whole point of the exercise.
 
 All powers are in dBm (dB relative to 1 mW); sample amplitudes are in
 sqrt(mW).  Every operation is pure given its inputs and seed.
+
+Seed tree of a campaign (fixed: changing it changes every output bit):
+``SeedSequence(seed).spawn(L*E)`` gives one child per estimate vector,
+child n*E + j for estimate j of location n.  Each of those spawns M+1
+children: child 0 draws the per-group gain drift, child rx+1 seeds the
+generator of channel rx's window, which draws the uniform tone phase,
+then N_s real and then N_s imaginary noise normals.
+
+Synthesis runs one location at a time: the E*M windows of a location
+are drawn per generator, then toned, summed and averaged as one batch,
+so working memory is a few (E*M, N_s) arrays: about 3 MB peak for the
+default 52 x 64 x 16 campaign, growing with E*M*N_s but not with L.
 """
 
 from __future__ import annotations
@@ -244,9 +256,7 @@ def _check_ids(scenario: Scenario, location_id: int, receiver_id: int | None = N
         raise KeyError(f"unknown receiver id {receiver_id}")
 
 
-def received_power_dbm(scenario: Scenario, location_id: int, receiver_id: int) -> float:
-    """Signal-only received power: tx - loss(d) + shadowing, in dBm."""
-    _check_ids(scenario, location_id, receiver_id)
+def _signal_power_dbm(scenario: Scenario, location_id: int, receiver_id: int) -> float:
     cfg = scenario.config
     d = float(np.linalg.norm(scenario.locations[location_id] - scenario.receivers[receiver_id]))
     return (
@@ -255,6 +265,12 @@ def received_power_dbm(scenario: Scenario, location_id: int, receiver_id: int) -
         - 10.0 * cfg.path_loss_exponent * math.log10(d)
         + float(scenario.shadowing_db[location_id, receiver_id])
     )
+
+
+def received_power_dbm(scenario: Scenario, location_id: int, receiver_id: int) -> float:
+    """Signal-only received power: tx - loss(d) + shadowing, in dBm."""
+    _check_ids(scenario, location_id, receiver_id)
+    return _signal_power_dbm(scenario, location_id, receiver_id)
 
 
 def true_rss(scenario: Scenario, location_id: int) -> TrueRssVector:
@@ -273,6 +289,54 @@ def true_rss(scenario: Scenario, location_id: int) -> TrueRssVector:
     return TrueRssVector(location_id=location_id, values_db=values)
 
 
+def _sample_windows(
+    cfg: ScenarioConfig, amplitudes: np.ndarray, seeds, n_samples: int
+) -> np.ndarray:
+    """Complex samples of ``len(seeds)`` windows, one window per row.
+
+    Window i has tone amplitude ``amplitudes[i]`` and draws from
+    ``default_rng(seeds[i])``: the uniform phase, then N_s real and N_s
+    imaginary noise normals.  Only those draws run per window; the tone,
+    noise scaling and sum are elementwise over all rows, so a window's
+    samples do not depend on which other windows share the call.
+    """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    noise_power = db_to_linear(cfg.noise_dbm)
+    phases = np.empty(len(seeds))
+    real = np.empty((len(seeds), n_samples))
+    imag = np.empty((len(seeds), n_samples))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        phases[i] = rng.uniform(0.0, 2.0 * math.pi)
+        if noise_power > 0.0:
+            rng.standard_normal(out=real[i])
+            rng.standard_normal(out=imag[i])
+
+    k = np.arange(n_samples)
+    tone = amplitudes[:, None] * np.exp(
+        1j * (2.0 * math.pi * cfg.tone_cycles_per_sample * k + phases[:, None])
+    )
+    noise = 0.0
+    if noise_power > 0.0:
+        noise = math.sqrt(noise_power / 2.0) * (real + 1j * imag)
+    return tone + noise
+
+
+def _mean_power(samples: np.ndarray) -> np.ndarray:
+    """Mean squared magnitude along the last axis (per window)."""
+    return np.mean(np.abs(samples) ** 2, axis=-1)
+
+
+def _rss_db(power: float, location_id: int, receiver_id: int) -> float:
+    if power == 0.0:
+        raise DegeneratePowerError(
+            f"all-zero sample window (location {location_id}, "
+            f"receiver {receiver_id}); RSS in dB is undefined"
+        )
+    return linear_to_db(power)
+
+
 def draw_sample_window(
     scenario: Scenario,
     location_id: int,
@@ -289,29 +353,14 @@ def draw_sample_window(
     for per-window receiver gain drift); v[k] is i.i.d. circular
     Gaussian at the configured noise power.  Deterministic given seed.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    _check_ids(scenario, location_id, receiver_id)
-    rng = np.random.default_rng(seed)
-    cfg = scenario.config
-
     p_rx = received_power_dbm(scenario, location_id, receiver_id) + extra_gain_db
-    amplitude = math.sqrt(db_to_linear(p_rx))
-    phase = rng.uniform(0.0, 2.0 * math.pi)
-    k = np.arange(n_samples)
-    tone = amplitude * np.exp(1j * (2.0 * math.pi * cfg.tone_cycles_per_sample * k + phase))
-
-    noise_power = db_to_linear(cfg.noise_dbm)
-    if noise_power > 0.0:
-        scale = math.sqrt(noise_power / 2.0)
-        noise = scale * (rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples))
-    else:
-        noise = 0.0
+    amplitude = np.array([math.sqrt(db_to_linear(p_rx))])
+    samples = _sample_windows(scenario.config, amplitude, [seed], n_samples)
     return SampleWindow(
         location_id=location_id,
         receiver_id=receiver_id,
-        samples=tone + noise,
-        ts_seconds=cfg.ts_seconds,
+        samples=samples[0],
+        ts_seconds=scenario.config.ts_seconds,
     )
 
 
@@ -322,13 +371,39 @@ def estimate_rss(window: SampleWindow) -> float:
     the true RSS as the window grows instead of drifting by
     10*log10(N_s).
     """
-    power = float(np.mean(np.abs(window.samples) ** 2))
-    if power == 0.0:
-        raise DegeneratePowerError(
-            f"all-zero sample window (location {window.location_id}, "
-            f"receiver {window.receiver_id}); RSS in dB is undefined"
-        )
-    return linear_to_db(power)
+    power = float(_mean_power(window.samples))
+    return _rss_db(power, window.location_id, window.receiver_id)
+
+
+def _estimate_vectors(
+    scenario: Scenario, location_id: int, n_samples: int, seeds
+) -> np.ndarray:
+    """RSS vector estimates at one location, one row per seed, in dBm.
+
+    Estimate j spawns M+1 children from ``seeds[j]``: child 0 draws the
+    per-group gain drift, child rx+1 drives the window of channel rx.
+    All len(seeds)*M windows are synthesized in one batch.
+    """
+    cfg = scenario.config
+    m = scenario.n_channels
+    signal_dbm = np.array([_signal_power_dbm(scenario, location_id, rx) for rx in range(m)])
+    n_groups = int(scenario.receiver_group.max()) + 1
+    p_rx = np.empty((len(seeds), m))
+    window_seeds = []
+    for j, seed in enumerate(seeds):
+        children = as_seed_sequence(seed).spawn(m + 1)
+        if cfg.gain_drift_std_db > 0.0:
+            drift_rng = np.random.default_rng(children[0])
+            drift = drift_rng.normal(0.0, cfg.gain_drift_std_db, size=n_groups)
+        else:
+            drift = np.zeros(n_groups)
+        p_rx[j] = signal_dbm + drift[scenario.receiver_group]
+        window_seeds.extend(children[1:])
+
+    amplitudes = np.array([math.sqrt(db_to_linear(p)) for p in p_rx.ravel().tolist()])
+    powers = _mean_power(_sample_windows(cfg, amplitudes, window_seeds, n_samples))
+    values = [_rss_db(p, location_id, i % m) for i, p in enumerate(powers.tolist())]
+    return np.array(values).reshape(len(seeds), m)
 
 
 def estimate_rss_vector(
@@ -342,29 +417,7 @@ def estimate_rss_vector(
     and applied to all windows of that group.
     """
     _check_ids(scenario, location_id)
-    m = scenario.n_channels
-    children = as_seed_sequence(seed).spawn(m + 1)
-
-    cfg = scenario.config
-    n_groups = int(scenario.receiver_group.max()) + 1
-    if cfg.gain_drift_std_db > 0.0:
-        drift_rng = np.random.default_rng(children[0])
-        drift = drift_rng.normal(0.0, cfg.gain_drift_std_db, size=n_groups)
-    else:
-        drift = np.zeros(n_groups)
-
-    values = np.empty(m)
-    for rx in range(m):
-        window = draw_sample_window(
-            scenario,
-            location_id,
-            rx,
-            n_samples,
-            seed=children[rx + 1],
-            extra_gain_db=float(drift[scenario.receiver_group[rx]]),
-        )
-        values[rx] = estimate_rss(window)
-    return values
+    return _estimate_vectors(scenario, location_id, n_samples, [seed])[0]
 
 
 def simulate_measurement_set(
@@ -373,7 +426,9 @@ def simulate_measurement_set(
     """Full synthetic campaign: E independent RSS vector estimates per location.
 
     Returns a :class:`rssdetect.dataset.MeasurementSet` with location ids
-    0..L-1 and the scenario's transmitter coordinates attached.
+    0..L-1 and the scenario's transmitter coordinates attached.  Estimate
+    j of location n is ``estimate_rss_vector`` on child n*E + j of
+    ``SeedSequence(seed).spawn(L*E)``.
     """
     from .dataset import MeasurementSet  # local import to keep dataset free of this module
 
@@ -383,10 +438,9 @@ def simulate_measurement_set(
     children = ss.spawn(scenario.n_locations * n_estimates)
     values = np.empty((scenario.n_locations, n_estimates, scenario.n_channels))
     for n in range(scenario.n_locations):
-        for j in range(n_estimates):
-            values[n, j] = estimate_rss_vector(
-                scenario, n, n_samples, seed=children[n * n_estimates + j]
-            )
+        values[n] = _estimate_vectors(
+            scenario, n, n_samples, children[n * n_estimates : (n + 1) * n_estimates]
+        )
     return MeasurementSet(
         values=values,
         location_ids=np.arange(scenario.n_locations, dtype=np.int64),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,16 @@ class TestTuneThreshold:
 
 
 class TestDbc:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_non_finite_input_fails_closed(self, bad, slot):
+        # a NaN distance compares False against the threshold, which used to read as H0
+        pair = [np.zeros(2), np.zeros(2)]
+        pair[slot][0] = bad
+        for q in (1, 2):
+            with pytest.raises(ValueError, match="finite"):
+                bm.decide_dbc(bm.DbcModel(q, 1.0), *pair)
+
     def test_triangle_distances(self):
         pairs = pair_set_from_arrays([[0.0, 3.0], [0.0, 3.0]], [[4.0, 0.0], [4.0, 0.0]], k=1)
         assert bm.pair_distances(pairs, 2)[0] == 5.0
@@ -213,6 +225,15 @@ class TestKmc:
             )
             got = bm.decide_kmc(model, f, fp)
             assert got.statistic == pytest.approx(want - 0.7, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_non_finite_input_fails_closed(self, bad, slot):
+        model = bm.KmcModel(centroids=np.zeros((2, 3)), threshold=1.0)
+        pair = [np.zeros(3), np.zeros(3)]
+        pair[slot][0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            bm.decide_kmc(model, *pair)
 
     def test_dimension_mismatch(self):
         model = bm.KmcModel(centroids=np.zeros((2, 3)), threshold=1.0)

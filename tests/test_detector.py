@@ -130,6 +130,14 @@ class TestDecide:
             f, fp = rng.normal(size=4), rng.normal(size=4)
             assert det.decide(model, f, fp).hypothesis == det.decide(model, fp, f).hypothesis
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_non_finite_input_fails_closed(self, bad, slot):
+        pair = [np.zeros(4), np.zeros(4)]
+        pair[slot][0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            det.decide(make_model(), *pair)
+
 
 class TestPairLoss:
     def test_zero_params_give_log_two(self):

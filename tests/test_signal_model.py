@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -112,6 +113,27 @@ class TestTrueRss:
 
 
 class TestSampleWindow:
+    @pytest.mark.parametrize(
+        "noise_dbm, n_samples", [(-90.0, 16), (-math.inf, 16), (-80.0, 1), (-85.0, 37)]
+    )
+    def test_matches_per_window_formula(self, noise_dbm, n_samples):
+        # the single-window synthesis written out step by step, draw for draw
+        cfg = sm.ScenarioConfig(n_locations=3, noise_dbm=noise_dbm, tone_cycles_per_sample=0.1)
+        sc = sm.generate_scenario(cfg, seed=4)
+        for rx in (0, 5, 15):
+            seed = np.random.SeedSequence(rx)
+            w = sm.draw_sample_window(sc, 2, rx, n_samples, seed=seed, extra_gain_db=0.7)
+            rng = np.random.default_rng(seed)
+            amplitude = math.sqrt(sm.db_to_linear(sm.received_power_dbm(sc, 2, rx) + 0.7))
+            phase = rng.uniform(0.0, 2.0 * math.pi)
+            k = np.arange(n_samples)
+            want = amplitude * np.exp(1j * (2.0 * math.pi * 0.1 * k + phase))
+            noise = 0.0
+            if noise_dbm > -math.inf:
+                scale = math.sqrt(sm.db_to_linear(noise_dbm) / 2.0)
+                noise = scale * (rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples))
+            assert w.samples.tobytes() == (want + noise).tobytes()
+
     def test_noiseless_tone_has_constant_modulus(self):
         sc = make_plain_scenario(tx_dbm=-50.0, noise_dbm=-math.inf)
         w = sm.draw_sample_window(sc, 0, 0, 4, seed=5)
@@ -248,6 +270,68 @@ class TestSimulateMeasurementSet:
         assert a.values.shape == (4, 3, 16)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.coordinates, sc.locations)
+
+
+def replay_measurement_values(sc, n_estimates, n_samples, seed) -> np.ndarray:
+    """Campaign values rebuilt one window at a time from the public
+    single-window functions, following the documented seed tree."""
+    m = sc.n_channels
+    n_groups = int(sc.receiver_group.max()) + 1
+    children = np.random.SeedSequence(seed).spawn(sc.n_locations * n_estimates)
+    values = np.empty((sc.n_locations, n_estimates, m))
+    for n in range(sc.n_locations):
+        for j in range(n_estimates):
+            grand = children[n * n_estimates + j].spawn(m + 1)
+            drift = np.zeros(n_groups)
+            if sc.config.gain_drift_std_db > 0.0:
+                drift = np.random.default_rng(grand[0]).normal(
+                    0.0, sc.config.gain_drift_std_db, size=n_groups
+                )
+            for rx in range(m):
+                w = sm.draw_sample_window(
+                    sc, n, rx, n_samples, seed=grand[rx + 1],
+                    extra_gain_db=float(drift[sc.receiver_group[rx]]),
+                )
+                values[n, j, rx] = sm.estimate_rss(w)
+    return values
+
+
+class TestCampaignBits:
+    @pytest.mark.parametrize(
+        "overrides, n_samples",
+        [
+            (dict(), 16),
+            (dict(gain_drift_std_db=2.0), 16),
+            (dict(noise_dbm=-math.inf), 16),
+            (dict(gain_drift_std_db=1.5), 1),
+        ],
+    )
+    def test_matches_window_by_window_replay(self, overrides, n_samples):
+        sc = sm.generate_scenario(sm.ScenarioConfig(n_locations=4, **overrides), seed=3)
+        got = sm.simulate_measurement_set(sc, n_estimates=3, n_samples=n_samples, seed=8)
+        want = replay_measurement_values(sc, 3, n_samples, seed=8)
+        assert got.values.tobytes() == want.tobytes()
+        children = np.random.SeedSequence(8).spawn(sc.n_locations * 3)
+        for n in range(sc.n_locations):
+            vec = sm.estimate_rss_vector(sc, n, n_samples, seed=children[3 * n])
+            assert vec.tobytes() == want[n, 0].tobytes()
+
+    def test_pinned_campaign_digest(self):
+        # SHA-256 of the values before synthesis was batched per location
+        # (numpy 2.4, x86-64); any change to the seed tree or the window
+        # arithmetic changes it
+        sc = sm.generate_scenario(sm.ScenarioConfig(n_locations=5, gain_drift_std_db=2.0), seed=11)
+        ms = sm.simulate_measurement_set(sc, n_estimates=3, n_samples=8, seed=12)
+        assert hashlib.sha256(ms.values.tobytes()).hexdigest() == (
+            "a59c9045900dda791ee41c4d81ab40d231257e9b7a9b358493dd5e6b34d8c1fd"
+        )
+
+    def test_all_zero_windows_raise(self):
+        sc = make_plain_scenario(tx_dbm=-math.inf, noise_dbm=-math.inf)
+        with pytest.raises(DegeneratePowerError, match="all-zero"):
+            sm.simulate_measurement_set(sc, n_estimates=2, n_samples=8, seed=1)
+        with pytest.raises(DegeneratePowerError, match="all-zero"):
+            sm.estimate_rss_vector(sc, 1, 8, seed=1)
 
 
 class TestWindowFile:
