@@ -191,8 +191,10 @@ def _margin_decision(margin: float) -> Decision:
     )
 
 
-def dbc_statistic_batch(model: DbcModel, f: np.ndarray, f_prime: np.ndarray) -> np.ndarray:
-    diff = np.asarray(f, dtype=np.float64) - np.asarray(f_prime, dtype=np.float64)
+def dbc_statistic_batch(model: DbcModel, f: np.ndarray, f_prime: np.ndarray):
+    """Margin ||f - f'||_q - threshold for (B, M) batches, or a float for one pair."""
+    f, f_prime = checked_pair(f, f_prime)
+    diff = f - f_prime
     if model.norm_order == 1:
         d = np.abs(diff).sum(axis=-1)
     else:
@@ -202,11 +204,17 @@ def dbc_statistic_batch(model: DbcModel, f: np.ndarray, f_prime: np.ndarray) -> 
 
 def decide_dbc(model: DbcModel, f: np.ndarray, f_prime: np.ndarray) -> Decision:
     """H1 iff ||f - f'||_q exceeds the tuned threshold; ties go to H0."""
-    f, f_prime = checked_pair(f, f_prime)
     return _margin_decision(float(dbc_statistic_batch(model, f, f_prime)))
 
 
-def kmc_statistic_batch(model: KmcModel, f: np.ndarray, f_prime: np.ndarray) -> np.ndarray:
+def kmc_statistic_batch(model: KmcModel, f: np.ndarray, f_prime: np.ndarray):
+    """Centroid-distance-space margin for (B, M) batches, or a float for one pair."""
+    f, f_prime = checked_pair(f, f_prime)
+    if f.shape[-1] != model.centroids.shape[1]:
+        raise ValueError(
+            f"feature length {f.shape[-1]} does not match centroids "
+            f"({model.centroids.shape[1]})"
+        )
     rep_a = centroid_distances(model.centroids, f)
     rep_b = centroid_distances(model.centroids, f_prime)
     d = np.sqrt(((rep_a - rep_b) ** 2).sum(axis=-1))
@@ -215,10 +223,4 @@ def kmc_statistic_batch(model: KmcModel, f: np.ndarray, f_prime: np.ndarray) -> 
 
 def decide_kmc(model: KmcModel, f: np.ndarray, f_prime: np.ndarray) -> Decision:
     """DBC(l2) rule in centroid-distance space; ties go to H0."""
-    f, f_prime = checked_pair(f, f_prime)
-    if f.shape[-1] != model.centroids.shape[1]:
-        raise ValueError(
-            f"feature length {f.shape[-1]} does not match centroids "
-            f"({model.centroids.shape[1]})"
-        )
     return _margin_decision(float(kmc_statistic_batch(model, f, f_prime)))

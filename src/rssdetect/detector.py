@@ -109,34 +109,42 @@ def _standardize(model: DetectorModel, f: np.ndarray) -> np.ndarray:
     return (f - model.feature_mean) / model.feature_std
 
 
-def statistic_batch(model: DetectorModel, f: np.ndarray, f_prime: np.ndarray) -> np.ndarray:
-    """Symmetrized statistic for (B, M) batches of pairs."""
-    zf = _standardize(model, np.asarray(f, dtype=np.float64))
-    zp = _standardize(model, np.asarray(f_prime, dtype=np.float64))
-    g_fwd = neural.forward(model.params, fixed_first_layer(zf, zp), model.negative_slope)
-    g_rev = neural.forward(model.params, fixed_first_layer(zp, zf), model.negative_slope)
-    return (g_fwd + g_rev) / 2.0
-
-
 def checked_pair(f, f_prime) -> tuple[np.ndarray, np.ndarray]:
-    """Both feature vectors as float64, after checking equal shapes and finite entries.
+    """Both inputs as float64, after checking equal shapes and finite entries.
 
-    Every single-pair decision rule calls this first, so a NaN or inf
-    input raises instead of yielding a decision.
+    Takes two (M,) vectors or two (B, M) batches.  Every statistic of
+    every decision rule calls this once, so a NaN or inf input raises
+    instead of yielding a statistic or a decision.
     """
     f = np.asarray(f, dtype=np.float64)
     f_prime = np.asarray(f_prime, dtype=np.float64)
     if f.shape != f_prime.shape:
         raise ValueError(f"shape mismatch: {f.shape} vs {f_prime.shape}")
-    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(f_prime))):
+    if not (np.isfinite(f).all() and np.isfinite(f_prime).all()):
         raise ValueError("feature vectors must be finite")
     return f, f_prime
 
 
+def statistic_batch(model: DetectorModel, f: np.ndarray, f_prime: np.ndarray):
+    """Symmetrized statistic for (B, M) batches of pairs, or a float for one pair.
+
+    Raises ``ValueError`` on non-finite input and on a non-finite
+    statistic (for example from overflowed weights).
+    """
+    f, f_prime = checked_pair(f, f_prime)
+    zf = _standardize(model, f)
+    zp = _standardize(model, f_prime)
+    g_fwd = neural.forward(model.params, fixed_first_layer(zf, zp), model.negative_slope)
+    g_rev = neural.forward(model.params, fixed_first_layer(zp, zf), model.negative_slope)
+    g = (g_fwd + g_rev) / 2.0
+    if not np.isfinite(g).all():
+        raise ValueError("detector statistic is not finite")
+    return g
+
+
 def statistic(model: DetectorModel, f: np.ndarray, f_prime: np.ndarray) -> float:
     """Symmetrized detection statistic g(f, f') = (g~(f,f') + g~(f',f)) / 2."""
-    f, f_prime = checked_pair(f, f_prime)
-    return float(statistic_batch(model, f[None, :], f_prime[None, :])[0])
+    return float(statistic_batch(model, f, f_prime))
 
 
 def decide(model: DetectorModel, f: np.ndarray, f_prime: np.ndarray) -> Decision:
@@ -164,16 +172,21 @@ def pair_loss(model: DetectorModel, pair_set: PairSet) -> float:
 
 
 def _loss_from_stacked(
-    params: MlpParams, stacked: np.ndarray, labels_h1: np.ndarray, slope: float
+    params: MlpParams,
+    stacked: np.ndarray,
+    labels_h1: np.ndarray,
+    slope: float,
+    workspace: neural.Workspace | None = None,
 ) -> tuple[float, GradientBundle]:
     """Loss/gradient given the pre-built [forward-order; swapped-order] batch.
 
     The symmetrized statistic routes the per-pair upstream gradient
     through both argument orders with weight 1/2 each; stacking the two
     orders into one batch keeps it a single forward and backward pass.
+    The gradients live in ``workspace`` when one is given.
     """
     n = labels_h1.shape[0]
-    out, cache = neural.forward_cached(params, stacked, slope)
+    out, cache = neural.forward_cached(params, stacked, slope, workspace)
     g = (out[:n] + out[n:]) / 2.0
     loss = float(np.mean(np.where(labels_h1, softplus(-g), softplus(g))))
     dg = (sigmoid(g) - labels_h1.astype(np.float64)) / n
@@ -258,9 +271,17 @@ def train_detector(
     val_labels = val_pairs.labels
     n_val = len(val_pairs)
 
+    # one workspace serves every step; a short last batch uses its first rows
+    rows = 2 * min(cfg.batch_size, n_train)
+    workspace = neural.Workspace(params, rows)
+    stacked_buf = np.empty((rows, train_stack.shape[1]))
+
     def batch_grad(p: MlpParams, idx: np.ndarray):
-        stacked = np.concatenate([train_stack[idx], train_stack[idx + n_train]], axis=0)
-        return _loss_from_stacked(p, stacked, labels[idx], cfg.negative_slope)
+        k = idx.size
+        stacked = stacked_buf[: 2 * k]
+        np.take(train_stack, idx, axis=0, out=stacked[:k])
+        np.take(train_stack, idx + n_train, axis=0, out=stacked[k:])
+        return _loss_from_stacked(p, stacked, labels[idx], cfg.negative_slope, workspace)
 
     def val_acc(p: MlpParams) -> float:
         out = neural.forward(p, val_stack, cfg.negative_slope)

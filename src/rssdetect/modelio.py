@@ -15,10 +15,17 @@ DBC payload: f64 threshold (the norm order is the tag).
 
 KMC payload: u32 kappa, u32 M, f64 centroids[kappa*M] row-major,
 f64 threshold.
+
+:func:`load_model` raises ``DataFormatError`` on any file that does not
+decode to a valid model: bad magic, version or tag, truncation, trailing
+bytes, a non-finite weight, bias, mean, std, slope or centroid, a NaN
+threshold (a tuned threshold may be +-inf), ``std <= 0`` or a slope
+outside [0, 1].
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -56,8 +63,18 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def f64s(self, n: int) -> np.ndarray:
-        return np.frombuffer(self.take(8 * n), dtype="<f8").astype(np.float64)
+    def f64s(self, n: int, what: str) -> np.ndarray:
+        out = np.frombuffer(self.take(8 * n), dtype="<f8").astype(np.float64)
+        if not np.all(np.isfinite(out)):
+            raise DataFormatError(f"{self.path}: non-finite {what}")
+        return out
+
+    def threshold(self) -> float:
+        # the tuned threshold's -inf/+inf sentinels are valid; NaN is not
+        t = struct.unpack("<d", self.take(8))[0]
+        if math.isnan(t):
+            raise DataFormatError(f"{self.path}: threshold is NaN")
+        return t
 
 
 def save_model(model, path) -> None:
@@ -93,6 +110,19 @@ def load_model(path):
     """Read any model file; the returned type follows the stored tag."""
     with open(path, "rb") as fh:
         r = _Reader(fh.read(), path)
+    try:
+        model = _decode(r)
+    except DataFormatError:
+        raise
+    except ValueError as exc:  # a model invariant, such as std > 0
+        raise DataFormatError(f"{path}: {exc}") from exc
+    if r.off != len(r.data):
+        raise DataFormatError(f"{path}: {len(r.data) - r.off} trailing bytes")
+    return model
+
+
+def _decode(r: _Reader):
+    path = r.path
     if r.take(4) != _MAGIC:
         raise DataFormatError(f"{path}: not a model file (bad magic)")
     version = r.u32()
@@ -102,14 +132,18 @@ def load_model(path):
     if tag == _TAG_DNNC:
         n_layers = r.u32()
         sizes = [r.u32() for _ in range(n_layers + 1)]
-        slope = struct.unpack("<d", r.take(8))[0]
+        if n_layers < 1 or sizes[-1] != 1:
+            raise DataFormatError(f"{path}: layer sizes {sizes} do not end in one output")
+        slope = float(r.f64s(1, "leaky slope")[0])
+        if not 0.0 <= slope <= 1.0:
+            raise DataFormatError(f"{path}: leaky slope {slope} outside [0, 1]")
         m = r.u32()
-        mean = r.f64s(m)
-        std = r.f64s(m)
+        mean = r.f64s(m, "feature mean")
+        std = r.f64s(m, "feature std")
         weights, biases = [], []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            weights.append(r.f64s(fan_in * fan_out).reshape(fan_out, fan_in))
-            biases.append(r.f64s(fan_out))
+            weights.append(r.f64s(fan_in * fan_out, "weights").reshape(fan_out, fan_in))
+            biases.append(r.f64s(fan_out, "biases"))
         return DetectorModel(
             params=MlpParams(weights=weights, biases=biases),
             feature_mean=mean,
@@ -117,14 +151,12 @@ def load_model(path):
             negative_slope=slope,
         )
     if tag in (_TAG_DBC1, _TAG_DBC2):
-        threshold = struct.unpack("<d", r.take(8))[0]
-        return DbcModel(norm_order=1 if tag == _TAG_DBC1 else 2, threshold=threshold)
+        return DbcModel(norm_order=1 if tag == _TAG_DBC1 else 2, threshold=r.threshold())
     if tag == _TAG_KMC:
         kappa = r.u32()
         m = r.u32()
-        centroids = r.f64s(kappa * m).reshape(kappa, m)
-        threshold = struct.unpack("<d", r.take(8))[0]
-        return KmcModel(centroids=centroids, threshold=threshold)
+        centroids = r.f64s(kappa * m, "centroids").reshape(kappa, m)
+        return KmcModel(centroids=centroids, threshold=r.threshold())
     raise DataFormatError(f"{path}: unknown model tag {tag!r}")
 
 

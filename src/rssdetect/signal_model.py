@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegeneratePowerError
+from .errors import ConfigError, DataFormatError, DegeneratePowerError
 from .seeding import SeedLike, as_seed_sequence
 
 # Magic + header layout of the optional binary window dump.
@@ -465,18 +465,20 @@ def read_sample_window(path, ts_seconds: float) -> SampleWindow:
     """Read a window written by :func:`write_sample_window`.
 
     The header does not carry the sampling interval, so it must be
-    supplied by the caller.
+    supplied by the caller.  A truncated, short or long file, or one
+    with a bad magic, raises ``DataFormatError``.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _WINDOW_HEADER.size:
-        raise ValueError(f"{path}: truncated window file")
+        raise DataFormatError(f"{path}: truncated window file")
     magic, n_samples, receiver_id, location_id = _WINDOW_HEADER.unpack_from(raw)
     if magic != _WINDOW_MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}")
+        raise DataFormatError(f"{path}: bad magic {magic!r}")
+    body_bytes = len(raw) - _WINDOW_HEADER.size
+    if body_bytes != 8 * n_samples:
+        raise DataFormatError(f"{path}: expected {8 * n_samples} sample bytes, found {body_bytes}")
     body = np.frombuffer(raw, dtype="<f4", offset=_WINDOW_HEADER.size)
-    if body.size != 2 * n_samples:
-        raise ValueError(f"{path}: expected {2 * n_samples} floats, found {body.size}")
     samples = body[0::2].astype(np.float64) + 1j * body[1::2].astype(np.float64)
     return SampleWindow(
         location_id=int(location_id),

@@ -87,6 +87,15 @@ class TestDbc:
             with pytest.raises(ValueError, match="finite"):
                 bm.decide_dbc(bm.DbcModel(q, 1.0), *pair)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_non_finite_batch_fails_closed(self, bad, slot):
+        pairs = [np.zeros((4, 2)), np.zeros((4, 2))]
+        pairs[slot][2, 1] = bad
+        for q in (1, 2):
+            with pytest.raises(ValueError, match="finite"):
+                bm.dbc_statistic_batch(bm.DbcModel(q, 1.0), *pairs)
+
     def test_triangle_distances(self):
         pairs = pair_set_from_arrays([[0.0, 3.0], [0.0, 3.0]], [[4.0, 0.0], [4.0, 0.0]], k=1)
         assert bm.pair_distances(pairs, 2)[0] == 5.0
@@ -234,6 +243,16 @@ class TestKmc:
         pair[slot][0] = bad
         with pytest.raises(ValueError, match="finite"):
             bm.decide_kmc(model, *pair)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_non_finite_batch_fails_closed(self, bad, slot):
+        # an inf row used to come back as an inf statistic
+        model = bm.KmcModel(centroids=np.zeros((2, 3)), threshold=1.0)
+        pairs = [np.zeros((4, 3)), np.zeros((4, 3))]
+        pairs[slot][2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            bm.kmc_statistic_batch(model, *pairs)
 
     def test_dimension_mismatch(self):
         model = bm.KmcModel(centroids=np.zeros((2, 3)), threshold=1.0)

@@ -139,6 +139,29 @@ class TestDecide:
             det.decide(make_model(), *pair)
 
 
+class TestStatisticBatchFailsClosed:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_non_finite_input(self, bad, slot):
+        pairs = [np.zeros((5, 4)), np.zeros((5, 4))]
+        pairs[slot][3, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            det.statistic_batch(make_model(), *pairs)
+
+    def test_non_finite_statistic(self):
+        # an overflowed output bias turns every statistic into inf
+        model = make_model()
+        model.params.biases[-1][0] = math.inf
+        with pytest.raises(ValueError, match="not finite"):
+            det.statistic_batch(model, np.zeros((3, 4)), np.ones((3, 4)))
+        with pytest.raises(ValueError, match="not finite"):
+            det.decide(model, np.zeros(4), np.ones(4))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape"):
+            det.statistic_batch(make_model(), np.zeros((3, 4)), np.zeros((2, 4)))
+
+
 class TestPairLoss:
     def test_zero_params_give_log_two(self):
         model = make_model(zero=True)

@@ -1,3 +1,6 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -75,4 +78,123 @@ def test_unsupported_version(tmp_path):
     path = tmp_path / "future.model"
     path.write_bytes(b"RSSM" + (99).to_bytes(4, "little") + b"DBC1" + b"\0" * 8)
     with pytest.raises(DataFormatError, match="version"):
+        modelio.load_model(path)
+
+
+# --- malformed files --------------------------------------------------------
+# offsets into the file written for dnnc_file: 12-byte header, u32 layer
+# count, u32 sizes[5], f64 slope, u32 M, f64 mean[3], f64 std[3], then W0
+_SLOPE, _MEAN, _STD, _W0 = 36, 48, 72, 96
+_B0 = _W0 + 8 * 7 * 9
+
+
+def dnnc_file(tmp_path):
+    rng = np.random.default_rng(0)
+    model = DetectorModel(
+        params=neural.init_params([9, 7, 6, 5, 1], seed=1),
+        feature_mean=rng.normal(size=3),
+        feature_std=np.abs(rng.normal(size=3)) + 0.1,
+        negative_slope=0.02,
+    )
+    path = tmp_path / "dnnc.model"
+    modelio.save_model(model, path)
+    return path
+
+
+def patch(path, offset: int, fmt: str, value) -> None:
+    data = bytearray(path.read_bytes())
+    struct.pack_into(fmt, data, offset, value)
+    path.write_bytes(bytes(data))
+
+
+def test_dnnc_offsets_point_at_fields(tmp_path):
+    path = dnnc_file(tmp_path)
+    model = modelio.load_model(path)
+    data = path.read_bytes()
+    assert struct.unpack_from("<d", data, _SLOPE)[0] == 0.02
+    assert struct.unpack_from("<d", data, _MEAN)[0] == model.feature_mean[0]
+    assert struct.unpack_from("<d", data, _STD)[0] == model.feature_std[0]
+    assert struct.unpack_from("<d", data, _W0)[0] == model.params.weights[0][0, 0]
+    assert struct.unpack_from("<d", data, _B0)[0] == model.params.biases[0][0]
+
+
+@pytest.mark.parametrize(
+    "offset, what", [(_W0, "weights"), (_B0, "biases"), (_MEAN, "mean"), (_STD, "std"), (_SLOPE, "slope")]
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_dnnc_field(tmp_path, offset, what, bad):
+    path = dnnc_file(tmp_path)
+    patch(path, offset, "<d", bad)
+    with pytest.raises(DataFormatError, match=f"non-finite .*{what}"):
+        modelio.load_model(path)
+
+
+@pytest.mark.parametrize("std", [0.0, -1.0])
+def test_non_positive_std(tmp_path, std):
+    path = dnnc_file(tmp_path)
+    patch(path, _STD + 8, "<d", std)
+    with pytest.raises(DataFormatError, match="feature_std"):
+        modelio.load_model(path)
+
+
+@pytest.mark.parametrize("slope", [1.5, -0.25])
+def test_slope_outside_unit_interval(tmp_path, slope):
+    path = dnnc_file(tmp_path)
+    patch(path, _SLOPE, "<d", slope)
+    with pytest.raises(DataFormatError, match="slope"):
+        modelio.load_model(path)
+
+
+def test_layer_sizes_must_end_in_one_output(tmp_path):
+    path = dnnc_file(tmp_path)
+    patch(path, 12 + 4 + 4 * 4, "<I", 2)
+    with pytest.raises(DataFormatError, match="one output"):
+        modelio.load_model(path)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [DbcModel(norm_order=1, threshold=2.0), KmcModel(centroids=np.ones((2, 3)), threshold=0.5)],
+)
+def test_nan_threshold(tmp_path, model):
+    path = tmp_path / "m.model"
+    modelio.save_model(model, path)
+    patch(path, len(path.read_bytes()) - 8, "<d", math.nan)
+    with pytest.raises(DataFormatError, match="threshold"):
+        modelio.load_model(path)
+
+
+@pytest.mark.parametrize("threshold", [math.inf, -math.inf])
+def test_infinite_threshold_round_trips(tmp_path, threshold):
+    # tune_threshold returns these sentinels when one class fills every side
+    path = tmp_path / "dbc.model"
+    modelio.save_model(DbcModel(norm_order=2, threshold=threshold), path)
+    assert modelio.load_model(path).threshold == threshold
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_centroid(tmp_path, bad):
+    path = tmp_path / "kmc.model"
+    modelio.save_model(KmcModel(centroids=np.ones((2, 3)), threshold=0.5), path)
+    patch(path, 12 + 8 + 8 * 4, "<d", bad)  # centroid [1, 1]
+    with pytest.raises(DataFormatError, match="non-finite centroids"):
+        modelio.load_model(path)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        DbcModel(norm_order=1, threshold=2.0),
+        KmcModel(centroids=np.ones((2, 3)), threshold=0.5),
+        None,  # the DNNC file
+    ],
+)
+def test_trailing_bytes(tmp_path, model):
+    if model is None:
+        path = dnnc_file(tmp_path)
+    else:
+        path = tmp_path / "m.model"
+        modelio.save_model(model, path)
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(DataFormatError, match="1 trailing bytes"):
         modelio.load_model(path)

@@ -338,3 +338,21 @@ class TestTrainLoop:
         cfg = TrainConfig(max_epochs=5, patience=5, batch_size=4, hidden_sizes=(3,))
         with pytest.raises(NonFiniteLossError, match="learning rate"):
             neural.train_loop(params, 8, constant_grad_fn(math.nan), lambda p: 0.5, cfg)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("kind", ["weights", "biases"])
+def test_non_finite_gradient_aborts(bad, kind):
+    # the loss stays finite, so only the gradient check can catch it
+    def nan_grad(params, idx):
+        grads = GradientBundle(
+            weights=[np.zeros_like(w) for w in params.weights],
+            biases=[np.zeros_like(b) for b in params.biases],
+        )
+        getattr(grads, kind)[0].flat[1] = bad
+        return 0.5, grads
+
+    params = neural.init_params([2, 3, 1], seed=8)
+    cfg = TrainConfig(max_epochs=5, patience=5, batch_size=4, hidden_sizes=(3,))
+    with pytest.raises(NonFiniteLossError, match="gradient"):
+        neural.train_loop(params, 8, nan_grad, lambda p: 0.5, cfg)

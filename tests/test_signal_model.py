@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rssdetect.errors import ConfigError, DegeneratePowerError
+from rssdetect.errors import ConfigError, DataFormatError, DegeneratePowerError
 from rssdetect import signal_model as sm
 
 
@@ -351,4 +351,21 @@ class TestWindowFile:
         path = tmp_path / "bad.rssw"
         path.write_bytes(b"NOPE" + b"\0" * 12)
         with pytest.raises(ValueError, match="magic"):
+            sm.read_sample_window(path, ts_seconds=1.0)
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda d: d[:10], "truncated"),
+            (lambda d: b"NOPE" + d[4:], "magic"),
+            (lambda d: d[:-8], "expected 40 sample bytes, found 32"),
+            (lambda d: d[:-3], "found 37"),
+            (lambda d: d + b"\0" * 8, "found 48"),
+        ],
+    )
+    def test_malformed_file_is_data_format_error(self, tmp_path, damage, message):
+        path = tmp_path / "w.rssw"
+        sm.write_sample_window(sm.draw_sample_window(make_plain_scenario(), 1, 0, 5, seed=4), path)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(DataFormatError, match=message):
             sm.read_sample_window(path, ts_seconds=1.0)
