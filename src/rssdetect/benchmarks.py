@@ -44,6 +44,14 @@ class KmcModel:
     centroids: np.ndarray  # (kappa, M)
     threshold: float
 
+    def __post_init__(self):
+        # with no centroid, or no feature, every pair maps to one vector
+        if np.ndim(self.centroids) != 2 or min(np.shape(self.centroids)) < 1:
+            raise ValueError(
+                f"centroids must be a (kappa, M) array with kappa >= 1 and M >= 1, "
+                f"got shape {np.shape(self.centroids)}"
+            )
+
     @property
     def kappa(self) -> int:
         return self.centroids.shape[0]

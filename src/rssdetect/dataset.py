@@ -280,6 +280,7 @@ def select_features(ms: MeasurementSet, channel_ids) -> MeasurementSet:
 # one row per (location, estimate).  Features are written with 17 significant
 # digits so that save -> load round-trips float64 bit-exactly.
 _FLOAT_FMT = "{:.16e}"
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 def save_measurements(ms: MeasurementSet, path, coords_path=None) -> None:
@@ -306,9 +307,7 @@ def save_measurements(ms: MeasurementSet, path, coords_path=None) -> None:
 
 def load_measurements(path, coords_path=None) -> MeasurementSet:
     """Parse and validate a measurement CSV; errors carry row/column info."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    lines = [ln for ln in lines if ln.strip()]
+    lines = [ln for ln in _read_lines(path) if ln.strip()]
     if not lines:
         raise DataFormatError(f"{path}: empty file")
     header = lines[0].split(",")
@@ -329,6 +328,8 @@ def load_measurements(path, coords_path=None) -> MeasurementSet:
         try:
             loc = int(cells[0])
             est = int(cells[1])
+            if not _INT64_MIN <= loc <= _INT64_MAX:
+                raise ValueError(f"location id {loc} does not fit in 64 bits")
             feats = np.array([float(c) for c in cells[2:]])
         except ValueError as exc:
             raise DataFormatError(f"{path}: row {row_no}: {exc}") from exc
@@ -366,9 +367,17 @@ def load_measurements(path, coords_path=None) -> MeasurementSet:
     )
 
 
+def _read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, without their line ends."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return [ln.rstrip("\n") for ln in fh]
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def _load_coordinates(path, location_order: list[int]) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = [ln.strip() for ln in _read_lines(path) if ln.strip()]
     if not lines or lines[0] != "location_id,x,y,z":
         raise DataFormatError(f"{path}: bad coordinates header")
     coords: dict[int, np.ndarray] = {}

@@ -12,6 +12,24 @@ difference block gives the trainable layers a head start.  Features are
 standardized with statistics frozen from the training pairs; that
 transform is affine and invertible, so it changes nothing about the
 hypothesis test, only the conditioning of SGD.
+
+Evaluation (:func:`statistic_batch`, and through it :func:`statistic`
+and :func:`decide`) runs both argument orders of a pair in one forward
+pass.  Each pair is first put in canonical order: the lexicographically
+smaller standardized vector ``lo`` goes first (signed zeros are
+normalized, so equal vectors are equal bytes).  The rows
+``fixed_first_layer(lo, hi)`` and ``fixed_first_layer(hi, lo)`` of up to
+``BLOCK_PAIRS`` pairs are stacked into one batch, so a single decision
+reads each weight matrix once, as a 2-row forward.  The stacked bytes of
+(f, f') and (f', f) are identical, so the statistic is exactly
+commutative whatever the BLAS does: a GEMM's last bits may depend on a
+row's position in the batch and on the row count, but both orders now
+see the same rows in the same places.  The blocking bounds a forward
+pass to 2 * BLOCK_PAIRS rows, so a large batch holds about
+2 * 2 * BLOCK_PAIRS * width floats of activations (8 MB at 512 pairs
+and width 512) however many pairs it scores.  Training keeps its own
+[forward-order; swapped-order] stack, so fits and their histories do not
+depend on this ordering.
 """
 
 from __future__ import annotations
@@ -28,6 +46,9 @@ from .neural import GradientBundle, MlpParams, TrainConfig, TrainHistory
 # Standardization clamp for features that are constant over the training
 # pairs; keeps std strictly positive.
 STD_EPSILON = 1e-8
+
+# Pairs per stacked forward pass in statistic_batch (2 rows each).
+BLOCK_PAIRS = 512
 
 
 class Hypothesis(enum.Enum):
@@ -58,6 +79,8 @@ class DetectorModel:
 
     def __post_init__(self):
         m = self.feature_mean.shape[0]
+        if m < 1:
+            raise ValueError("the model needs at least one feature")
         if self.feature_std.shape != (m,):
             raise ValueError("feature_mean and feature_std must have equal length")
         if np.any(self.feature_std <= 0):
@@ -76,6 +99,11 @@ class DetectorModel:
 def sigmoid(x):
     """Numerically stable logistic function."""
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 0:  # one decision's posterior: the same expressions, unmasked
+        if x >= 0:
+            return float(1.0 / (1.0 + np.exp(-x)))
+        ex = np.exp(x)
+        return float(ex / (1.0 + ex))
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -112,34 +140,58 @@ def _standardize(model: DetectorModel, f: np.ndarray) -> np.ndarray:
 def checked_pair(f, f_prime) -> tuple[np.ndarray, np.ndarray]:
     """Both inputs as float64, after checking equal shapes and finite entries.
 
-    Takes two (M,) vectors or two (B, M) batches.  Every statistic of
-    every decision rule calls this once, so a NaN or inf input raises
-    instead of yielding a statistic or a decision.
+    Takes two (M,) vectors or two (B, M) batches, M >= 1.  Every
+    statistic of every decision rule calls this once, so a NaN or inf
+    input, or one without features, raises instead of yielding a
+    statistic or a decision.
     """
     f = np.asarray(f, dtype=np.float64)
     f_prime = np.asarray(f_prime, dtype=np.float64)
     if f.shape != f_prime.shape:
         raise ValueError(f"shape mismatch: {f.shape} vs {f_prime.shape}")
+    if f.ndim == 0 or f.shape[-1] == 0:
+        raise ValueError(f"feature vectors need at least one feature, got shape {f.shape}")
     if not (np.isfinite(f).all() and np.isfinite(f_prime).all()):
         raise ValueError("feature vectors must be finite")
     return f, f_prime
 
 
+def _canonical_order(zf: np.ndarray, zp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of (B, M) batches: per row, the lexicographically smaller vector first."""
+    first_diff = (zf != zp).argmax(axis=1)  # 0 for equal rows, which keep their order
+    rows = np.arange(zf.shape[0])
+    swap = (zf[rows, first_diff] > zp[rows, first_diff])[:, None]
+    return np.where(swap, zp, zf), np.where(swap, zf, zp)
+
+
 def statistic_batch(model: DetectorModel, f: np.ndarray, f_prime: np.ndarray):
     """Symmetrized statistic for (B, M) batches of pairs, or a float for one pair.
 
+    Each block of up to ``BLOCK_PAIRS`` canonically ordered pairs is one
+    forward pass over both argument orders (see the module docstring).
     Raises ``ValueError`` on non-finite input and on a non-finite
     statistic (for example from overflowed weights).
     """
     f, f_prime = checked_pair(f, f_prime)
-    zf = _standardize(model, f)
-    zp = _standardize(model, f_prime)
-    g_fwd = neural.forward(model.params, fixed_first_layer(zf, zp), model.negative_slope)
-    g_rev = neural.forward(model.params, fixed_first_layer(zp, zf), model.negative_slope)
-    g = (g_fwd + g_rev) / 2.0
+    if f.ndim not in (1, 2):
+        raise ValueError(f"expected (M,) vectors or (B, M) batches, got shape {f.shape}")
+    single = f.ndim == 1
+    # + 0.0 turns -0.0 into +0.0, so vectors that compare equal are equal bytes
+    zf = _standardize(model, np.atleast_2d(f)) + 0.0
+    zp = _standardize(model, np.atleast_2d(f_prime)) + 0.0
+    lo, hi = _canonical_order(zf, zp)
+    n = lo.shape[0]
+    g = np.empty(n)
+    for start in range(0, n, BLOCK_PAIRS):
+        stop = min(start + BLOCK_PAIRS, n)
+        out = neural.forward(
+            model.params, _both_orders(lo[start:stop], hi[start:stop]), model.negative_slope
+        )
+        k = stop - start
+        g[start:stop] = (out[:k] + out[k:]) / 2.0
     if not np.isfinite(g).all():
         raise ValueError("detector statistic is not finite")
-    return g
+    return float(g[0]) if single else g
 
 
 def statistic(model: DetectorModel, f: np.ndarray, f_prime: np.ndarray) -> float:
@@ -195,10 +247,13 @@ def _loss_from_stacked(
     return loss, grads
 
 
-def _stack_both_orders(model: DetectorModel, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    zf = _standardize(model, first)
-    zp = _standardize(model, second)
+def _both_orders(zf: np.ndarray, zp: np.ndarray) -> np.ndarray:
+    """Rows [zf, zp, zf - zp] of every pair, then [zp, zf, zp - zf] of every pair."""
     return np.concatenate([fixed_first_layer(zf, zp), fixed_first_layer(zp, zf)], axis=0)
+
+
+def _stack_both_orders(model: DetectorModel, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    return _both_orders(_standardize(model, first), _standardize(model, second))
 
 
 def _loss_terms(

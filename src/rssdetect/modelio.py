@@ -19,8 +19,8 @@ f64 threshold.
 :func:`load_model` raises ``DataFormatError`` on any file that does not
 decode to a valid model: bad magic, version or tag, truncation, trailing
 bytes, a non-finite weight, bias, mean, std, slope or centroid, a NaN
-threshold (a tuned threshold may be +-inf), ``std <= 0`` or a slope
-outside [0, 1].
+threshold (a tuned threshold may be +-inf), ``std <= 0``, a slope
+outside [0, 1], M = 0 features or a KMC payload with kappa = 0.
 """
 
 from __future__ import annotations

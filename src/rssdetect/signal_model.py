@@ -27,17 +27,12 @@ default 52 x 64 x 16 campaign, growing with E*M*N_s but not with L.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, DegeneratePowerError
+from .errors import ConfigError, DegeneratePowerError
 from .seeding import SeedLike, as_seed_sequence
-
-# Magic + header layout of the optional binary window dump.
-_WINDOW_MAGIC = b"RSSW"
-_WINDOW_HEADER = struct.Struct("<4sIII")  # magic, N_s, receiver id, location id
 
 
 def db_to_linear(power_db: float) -> float:
@@ -445,44 +440,4 @@ def simulate_measurement_set(
         values=values,
         location_ids=np.arange(scenario.n_locations, dtype=np.int64),
         coordinates=scenario.locations.copy(),
-    )
-
-
-def write_sample_window(window: SampleWindow, path) -> None:
-    """Binary dump: 16-byte header, then interleaved float32 (I, Q) pairs."""
-    header = _WINDOW_HEADER.pack(
-        _WINDOW_MAGIC, window.n_samples, window.receiver_id, window.location_id
-    )
-    iq = np.empty(2 * window.n_samples, dtype="<f4")
-    iq[0::2] = window.samples.real
-    iq[1::2] = window.samples.imag
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(iq.tobytes())
-
-
-def read_sample_window(path, ts_seconds: float) -> SampleWindow:
-    """Read a window written by :func:`write_sample_window`.
-
-    The header does not carry the sampling interval, so it must be
-    supplied by the caller.  A truncated, short or long file, or one
-    with a bad magic, raises ``DataFormatError``.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _WINDOW_HEADER.size:
-        raise DataFormatError(f"{path}: truncated window file")
-    magic, n_samples, receiver_id, location_id = _WINDOW_HEADER.unpack_from(raw)
-    if magic != _WINDOW_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {magic!r}")
-    body_bytes = len(raw) - _WINDOW_HEADER.size
-    if body_bytes != 8 * n_samples:
-        raise DataFormatError(f"{path}: expected {8 * n_samples} sample bytes, found {body_bytes}")
-    body = np.frombuffer(raw, dtype="<f4", offset=_WINDOW_HEADER.size)
-    samples = body[0::2].astype(np.float64) + 1j * body[1::2].astype(np.float64)
-    return SampleWindow(
-        location_id=int(location_id),
-        receiver_id=int(receiver_id),
-        samples=samples,
-        ts_seconds=ts_seconds,
     )

@@ -175,6 +175,26 @@ class TestMeasurementFile:
         with pytest.raises(DataFormatError, match="duplicate"):
             ds.load_measurements(path)
 
+    def test_non_utf8_byte_rejected(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"location_id,estimate_id,feat_0\n0,0,-70.0\xff\n0,1,-71\n")
+        with pytest.raises(DataFormatError, match="UTF-8"):
+            ds.load_measurements(path)
+
+    def test_non_utf8_coordinates_rejected(self, tmp_path):
+        path, coords = tmp_path / "meas.csv", tmp_path / "locations.csv"
+        ds.save_measurements(make_corpus(l=3, e=2, m=2), path, coords_path=coords)
+        coords.write_bytes(coords.read_bytes().replace(b"x", b"\xff"))
+        with pytest.raises(DataFormatError, match="UTF-8"):
+            ds.load_measurements(path, coords_path=coords)
+
+    def test_location_id_beyond_int64_rejected(self, tmp_path):
+        path = tmp_path / "big.csv"
+        big = 2**63
+        path.write_text(f"location_id,estimate_id,feat_0\n{big},0,-70.0\n{big},1,-71\n")
+        with pytest.raises(DataFormatError, match="row 2: location id"):
+            ds.load_measurements(path)
+
 
 class TestSelectFeatures:
     def test_identity(self):

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rssdetect import detector as det
 from rssdetect import neural
@@ -101,6 +104,109 @@ class TestStatistic:
         model = make_model()
         with pytest.raises(ValueError, match="finite"):
             det.statistic(model, np.array([np.nan, 0, 0, 0]), np.zeros(4))
+
+
+# wide enough that a plain [forward; swapped] stack gets row-position-dependent
+# bits from the BLAS, which the swap tests below must not see
+STACK_MODEL = make_model(m=6, hidden=(96, 80, 64), seed=31)
+# zero mean and unit std keep a -0.0 input a -0.0 standardized value
+PLAIN_MODEL = det.DetectorModel(
+    params=neural.init_params([3 * 6, 96, 80, 64, 1], seed=32),
+    feature_mean=np.zeros(6),
+    feature_std=np.ones(6),
+)
+B = det.BLOCK_PAIRS
+features = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308]),
+)
+
+
+class TestStackedEvaluation:
+    """One forward over both argument orders, canonically ordered, in blocks."""
+
+    @pytest.mark.parametrize("n", [*range(1, 34), B - 1, B, B + 1, 2 * B + 3])
+    def test_batch_swap_is_bit_exact(self, n):
+        rng = np.random.default_rng(n)
+        f, fp = rng.normal(size=(n, 6)), rng.normal(size=(n, 6))
+        fp[::3] = f[::3]  # identical pairs
+        fp[1::3, :-1] = f[1::3, :-1]  # pairs that differ only in the last coordinate
+        g = det.statistic_batch(STACK_MODEL, f, fp)
+        assert np.array_equal(g, det.statistic_batch(STACK_MODEL, fp, f))
+        # swapping only some of the pairs changes no bit either
+        swap = rng.random(n) < 0.5
+        mixed_f = np.where(swap[:, None], fp, f)
+        mixed_fp = np.where(swap[:, None], f, fp)
+        assert np.array_equal(g, det.statistic_batch(STACK_MODEL, mixed_f, mixed_fp))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, B - 1, B + 1, 2 * B + 3])
+    def test_batch_rows_match_single_pairs(self, n):
+        rng = np.random.default_rng(100 + n)
+        f, fp = rng.normal(size=(n, 6)), rng.normal(size=(n, 6))
+        g = det.statistic_batch(STACK_MODEL, f, fp)
+        rows = np.unique(np.r_[0, n - 1, B - 1 : n : B, B % n, rng.integers(0, n, size=8)])
+        for i in rows:
+            assert g[i] == pytest.approx(det.statistic(STACK_MODEL, f[i], fp[i]), rel=1e-12)
+
+    @given(
+        f=hnp.arrays(np.float64, 6, elements=features),
+        fp=hnp.arrays(np.float64, 6, elements=features),
+        same=st.sampled_from(["none", "all", "all_but_last"]),
+    )
+    def test_single_pair_swap_is_bit_exact(self, f, fp, same):
+        if same == "all":
+            fp = f.copy()
+        elif same == "all_but_last":
+            fp = np.r_[f[:-1], fp[-1]]
+        for model in (STACK_MODEL, PLAIN_MODEL):
+            g = det.statistic(model, f, fp)
+            assert np.float64(g).tobytes() == np.float64(det.statistic(model, fp, f)).tobytes()
+
+    @pytest.fixture
+    def forward_inputs(self, monkeypatch):
+        """Every input ``neural.forward`` gets, in call order."""
+        seen = []
+        forward = neural.forward
+
+        def spy(params, x, slope):
+            seen.append(x.copy())
+            return forward(params, x, slope)
+
+        monkeypatch.setattr(neural, "forward", spy)
+        return seen
+
+    def test_both_orders_stack_the_same_bytes(self, forward_inputs):
+        rng = np.random.default_rng(7)
+        f, fp = rng.normal(size=(5, 6)), rng.normal(size=(5, 6))
+        # equal values whose zeros differ in sign count as one vector
+        f[0] = [0.0, -0.0, 1.0, 0.0, -0.0, 2.0]
+        fp[0] = [-0.0, 0.0, 1.0, -0.0, 0.0, 2.0]
+        det.statistic_batch(PLAIN_MODEL, f, fp)
+        det.statistic_batch(PLAIN_MODEL, fp, f)
+        first, second = forward_inputs
+        assert first.tobytes() == second.tobytes()
+
+    def test_one_forward_per_block(self, forward_inputs):
+        det.statistic(STACK_MODEL, np.zeros(6), np.ones(6))
+        det.statistic_batch(STACK_MODEL, np.zeros((2 * B + 3, 6)), np.ones((2 * B + 3, 6)))
+        assert [x.shape[0] for x in forward_inputs] == [2, 2 * B, 2 * B, 6]
+
+    def test_higher_rank_input_rejected(self):
+        with pytest.raises(ValueError, match="batches"):
+            det.statistic_batch(STACK_MODEL, np.zeros((2, 3, 6)), np.zeros((2, 3, 6)))
+
+
+class TestSigmoid:
+    @given(
+        x=st.one_of(
+            st.floats(),
+            st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 700.0, -700.0, 710.0, -745.0]),
+        )
+    )
+    def test_scalar_path_matches_array_path(self, x):
+        scalar = det.sigmoid(x)
+        assert isinstance(scalar, float)
+        assert np.float64(scalar).tobytes() == det.sigmoid(np.array([x]))[0].tobytes()
 
 
 class TestDecide:

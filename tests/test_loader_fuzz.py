@@ -1,0 +1,124 @@
+"""Damaged model files and measurement CSVs: each one loads or raises DataFormatError.
+
+Every example takes a valid saved file and truncates it, or overwrites,
+inserts or deletes a few bytes in it, then loads the result.  Any
+exception other than ``DataFormatError`` fails the test.
+"""
+
+import math
+import struct
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from rssdetect import dataset as ds
+from rssdetect import modelio, neural
+from rssdetect.benchmarks import DbcModel, KmcModel
+from rssdetect.detector import DetectorModel
+from rssdetect.errors import DataFormatError
+
+
+def _saved_bytes(save, obj, *extra_names) -> list[bytes]:
+    with tempfile.TemporaryDirectory() as d:
+        paths = [Path(d) / "main", *(Path(d) / name for name in extra_names)]
+        save(obj, *paths)
+        return [p.read_bytes() for p in paths]
+
+
+def _model_files() -> dict[str, bytes]:
+    rng = np.random.default_rng(0)
+    dnnc = DetectorModel(
+        params=neural.init_params([6, 4, 3, 1], seed=1),
+        feature_mean=rng.normal(size=2),
+        feature_std=np.abs(rng.normal(size=2)) + 0.1,
+    )
+    models = {
+        "dnnc": dnnc,
+        "dbc1": DbcModel(norm_order=1, threshold=2.0),
+        "dbc2": DbcModel(norm_order=2, threshold=-math.inf),
+        "kmc": KmcModel(centroids=rng.normal(size=(2, 3)), threshold=0.5),
+    }
+    return {name: _saved_bytes(modelio.save_model, m)[0] for name, m in models.items()}
+
+
+def _csv_files() -> dict[str, bytes]:
+    rng = np.random.default_rng(1)
+    ms = ds.MeasurementSet(
+        values=rng.normal(-70.0, 5.0, size=(3, 2, 2)),
+        location_ids=np.array([4, 0, 7], dtype=np.int64),
+        coordinates=rng.uniform(0, 5, size=(3, 3)),
+    )
+    csv, coords = _saved_bytes(ds.save_measurements, ms, "coords")
+    return {"measurements": csv, "coordinates": coords}
+
+
+MODEL_FILES = _model_files()
+CSV_FILES = _csv_files()
+
+# fields a mutation may write whole: u32 counts and f64 values at their edges
+_FIELDS = [struct.pack("<I", v) for v in (0, 1, 2, 3, 0xFFFFFFFF)] + [
+    struct.pack("<d", v) for v in (math.nan, math.inf, -math.inf, 0.0, -1.0, 2.0, 5e-324)
+]
+# bytes that keep a CSV close to parsing, a non-UTF-8 byte, and values
+# just past what the loader accepts
+_CSV_CHUNKS = [bytes([b]) for b in b"0123456789,.-+e\nnaif_ \xff"] + [
+    b"99999999999999999999",
+    b"1e999",
+    b"nan",
+]
+
+
+def _chunks(special):
+    return st.one_of(
+        st.binary(min_size=1, max_size=24),
+        st.sampled_from(special),
+    )
+
+
+@st.composite
+def damaged(draw, data: bytes, special) -> bytes:
+    """``data`` after one to three truncations, overwrites, insertions or deletions."""
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["truncate", "overwrite", "insert", "delete"]))
+        pos = draw(st.integers(0, len(data)))
+        if kind == "truncate":
+            data = data[:pos]
+        elif kind == "delete":
+            data = data[:pos] + data[pos + draw(st.integers(1, 16)) :]
+        else:
+            chunk = draw(_chunks(special))
+            end = pos + len(chunk) if kind == "overwrite" else pos
+            data = data[:pos] + chunk + data[end:]
+    return data
+
+
+def _loads_or_rejects(load, path) -> None:
+    try:
+        load(path)
+    except DataFormatError:
+        pass
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_FILES))
+@given(data=st.data())
+def test_damaged_model_file(name, data):
+    blob = data.draw(damaged(MODEL_FILES[name], _FIELDS))
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "m.model"
+        path.write_bytes(blob)
+        _loads_or_rejects(modelio.load_model, path)
+
+
+@pytest.mark.parametrize("name", sorted(CSV_FILES))
+@given(data=st.data())
+def test_damaged_measurement_csv(name, data):
+    blob = data.draw(damaged(CSV_FILES[name], _CSV_CHUNKS))
+    with tempfile.TemporaryDirectory() as d:
+        csv, coords = Path(d) / "m.csv", Path(d) / "c.csv"
+        csv.write_bytes(blob if name == "measurements" else CSV_FILES["measurements"])
+        coords.write_bytes(blob if name == "coordinates" else CSV_FILES["coordinates"])
+        _loads_or_rejects(lambda p: ds.load_measurements(p, coords_path=coords), csv)

@@ -198,3 +198,36 @@ def test_trailing_bytes(tmp_path, model):
     path.write_bytes(path.read_bytes() + b"\0")
     with pytest.raises(DataFormatError, match="1 trailing bytes"):
         modelio.load_model(path)
+
+
+def test_kmc_file_without_centroids(tmp_path):
+    # hand-built: kappa = 0, M = 3, no centroid values, threshold -0.5
+    path = tmp_path / "kmc.model"
+    path.write_bytes(b"RSSM" + struct.pack("<I", 1) + b"KMC\0" + struct.pack("<IId", 0, 3, -0.5))
+    with pytest.raises(DataFormatError, match="kappa >= 1"):
+        modelio.load_model(path)
+
+
+@pytest.mark.parametrize(
+    "centroids", [np.zeros((0, 3)), np.zeros((2, 0)), np.zeros(3), np.zeros((1, 2, 3))]
+)
+def test_kmc_model_needs_a_centroid_matrix(centroids):
+    with pytest.raises(ValueError, match="kappa >= 1"):
+        KmcModel(centroids=centroids, threshold=-0.5)
+
+
+def test_dnnc_file_without_features(tmp_path):
+    # hand-built: one layer of sizes [0, 1], slope 0.01, M = 0, bias 0.5
+    path = tmp_path / "dnnc.model"
+    payload = struct.pack("<III", 1, 0, 1) + struct.pack("<d", 0.01) + struct.pack("<I", 0)
+    path.write_bytes(b"RSSM" + struct.pack("<I", 1) + b"DNNC" + payload + struct.pack("<d", 0.5))
+    with pytest.raises(DataFormatError, match="at least one feature"):
+        modelio.load_model(path)
+
+
+@pytest.mark.parametrize(
+    "model", [DbcModel(norm_order=1, threshold=-0.5), KmcModel(centroids=np.ones((2, 3)), threshold=-0.5)]
+)
+def test_no_decision_without_features(model):
+    with pytest.raises(ValueError, match="at least one feature"):
+        modelio.decide_any(model, np.zeros(0), np.zeros(0))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rssdetect.errors import ConfigError, DataFormatError, DegeneratePowerError
+from rssdetect.errors import ConfigError, DegeneratePowerError
 from rssdetect import signal_model as sm
 
 
@@ -332,40 +332,3 @@ class TestCampaignBits:
             sm.simulate_measurement_set(sc, n_estimates=2, n_samples=8, seed=1)
         with pytest.raises(DegeneratePowerError, match="all-zero"):
             sm.estimate_rss_vector(sc, 1, 8, seed=1)
-
-
-class TestWindowFile:
-    def test_round_trip(self, tmp_path):
-        sc = make_plain_scenario()
-        w = sm.draw_sample_window(sc, 1, 0, 19, seed=4)
-        path = tmp_path / "w.rssw"
-        sm.write_sample_window(w, path)
-        back = sm.read_sample_window(path, ts_seconds=w.ts_seconds)
-        assert back.location_id == 1 and back.receiver_id == 0
-        assert back.n_samples == 19
-        # float32 on disk
-        assert np.array_equal(back.samples.real, w.samples.real.astype(np.float32))
-        assert np.array_equal(back.samples.imag, w.samples.imag.astype(np.float32))
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.rssw"
-        path.write_bytes(b"NOPE" + b"\0" * 12)
-        with pytest.raises(ValueError, match="magic"):
-            sm.read_sample_window(path, ts_seconds=1.0)
-
-    @pytest.mark.parametrize(
-        "damage, message",
-        [
-            (lambda d: d[:10], "truncated"),
-            (lambda d: b"NOPE" + d[4:], "magic"),
-            (lambda d: d[:-8], "expected 40 sample bytes, found 32"),
-            (lambda d: d[:-3], "found 37"),
-            (lambda d: d + b"\0" * 8, "found 48"),
-        ],
-    )
-    def test_malformed_file_is_data_format_error(self, tmp_path, damage, message):
-        path = tmp_path / "w.rssw"
-        sm.write_sample_window(sm.draw_sample_window(make_plain_scenario(), 1, 0, 5, seed=4), path)
-        path.write_bytes(damage(path.read_bytes()))
-        with pytest.raises(DataFormatError, match=message):
-            sm.read_sample_window(path, ts_seconds=1.0)
