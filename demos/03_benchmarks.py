@@ -17,8 +17,6 @@ from rssdetect import (
     train_detector,
     train_kmc,
 )
-from rssdetect.benchmarks import dbc_statistic_batch, kmc_statistic_batch
-from rssdetect.detector import statistic_batch
 
 scenario = generate_scenario(
     ScenarioConfig(n_locations=52, shadowing_std_db=2.5, noise_dbm=-82.0,
@@ -32,8 +30,10 @@ train_pairs = build_pair_set(corpus, split.train_ids, k=1250, seed=4)
 test_pairs = build_pair_set(corpus, split.test_ids, k=1000, seed=5)
 
 
-def accuracy(margins):
-    return np.mean((margins > 0) == test_pairs.labels)
+def accuracy(model):
+    # every model scores a batch of pairs with the same method; H1 iff > 0
+    statistic = model.statistic_batch(test_pairs.first, test_pairs.second)
+    return np.mean((statistic > 0) == test_pairs.labels)
 
 
 dbc1 = train_dbc(train_pairs, norm_order=1)
@@ -43,13 +43,10 @@ dnnc, _ = train_detector(corpus, split, k_train=1250, k_val=150,
                          cfg=TrainConfig(), seed=7)
 
 print("test accuracy on pairs from 7 held-out locations:")
-print(f"  DBC(l1): {accuracy(dbc_statistic_batch(dbc1, test_pairs.first, test_pairs.second)):.3f}"
-      f"  (threshold {dbc1.threshold:.2f} dB)")
-print(f"  DBC(l2): {accuracy(dbc_statistic_batch(dbc2, test_pairs.first, test_pairs.second)):.3f}"
-      f"  (threshold {dbc2.threshold:.2f} dB)")
-print(f"  KMC:     {accuracy(kmc_statistic_batch(kmc, test_pairs.first, test_pairs.second)):.3f}"
-      f"  ({kmc.kappa} centroids)")
-print(f"  DNNC:    {accuracy(statistic_batch(dnnc, test_pairs.first, test_pairs.second)):.3f}")
+print(f"  DBC(l1): {accuracy(dbc1):.3f}  (threshold {dbc1.threshold:.2f} dB)")
+print(f"  DBC(l2): {accuracy(dbc2):.3f}  (threshold {dbc2.threshold:.2f} dB)")
+print(f"  KMC:     {accuracy(kmc):.3f}  ({kmc.kappa} centroids)")
+print(f"  DNNC:    {accuracy(dnnc):.3f}")
 
 # why the distance rules struggle here: per-window receiver gain drift
 # shifts whole antenna groups between transmissions, inflating SAME-pair

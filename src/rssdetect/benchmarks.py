@@ -7,9 +7,9 @@ vectors with Lloyd's algorithm, re-represents each vector by its
 Euclidean distances to the centroids, and applies the DBC(l2) rule in
 that distance space.
 
-All decision functions return the same :class:`~rssdetect.detector.Decision`
-shape as the neural detector, with the margin (distance - threshold) as
-the statistic so that H1 <=> statistic > 0 holds uniformly.
+Each model's ``statistic_batch`` is its margin (distance - threshold),
+so that H1 <=> statistic > 0 holds uniformly, and its decision is the
+same :class:`~rssdetect.detector.Decision` as the neural detector's.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import PairSet
-from .detector import Decision, Hypothesis, checked_pair, sigmoid
+from .detector import Decision, checked_pair
 from .seeding import as_seed_sequence
 
 
@@ -37,6 +37,10 @@ class DbcModel:
     def __post_init__(self):
         if self.norm_order not in (1, 2):
             raise ValueError(f"norm_order must be 1 or 2, got {self.norm_order}")
+
+    def statistic_batch(self, f, f_prime):
+        """The distance margin; see :func:`dbc_statistic_batch`."""
+        return dbc_statistic_batch(self, f, f_prime)
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,10 @@ class KmcModel:
     @property
     def kappa(self) -> int:
         return self.centroids.shape[0]
+
+    def statistic_batch(self, f, f_prime):
+        """The centroid-distance margin; see :func:`kmc_statistic_batch`."""
+        return kmc_statistic_batch(self, f, f_prime)
 
 
 @dataclass(frozen=True)
@@ -163,12 +171,9 @@ def lloyd_kmeans(x: np.ndarray, k: int, seed, max_iter: int = 300) -> KMeansResu
 
 
 def centroid_distances(centroids: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Map vectors to their Euclidean distances from each centroid."""
+    """Map an (M,) vector or (B, M) batch to its Euclidean distances from each centroid."""
     f = np.asarray(f, dtype=np.float64)
-    single = f.ndim == 1
-    v = f[None, :] if single else f
-    d = np.sqrt(((v[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2))
-    return d[0] if single else d
+    return np.sqrt(((f[..., None, :] - centroids) ** 2).sum(axis=-1))
 
 
 def train_kmc(
@@ -191,14 +196,6 @@ def train_kmc(
     return KmcModel(centroids=km.centroids, threshold=fit.threshold)
 
 
-def _margin_decision(margin: float) -> Decision:
-    return Decision(
-        hypothesis=Hypothesis.H1 if margin > 0.0 else Hypothesis.H0,
-        statistic=margin,
-        posterior=sigmoid(margin),
-    )
-
-
 def dbc_statistic_batch(model: DbcModel, f: np.ndarray, f_prime: np.ndarray):
     """Margin ||f - f'||_q - threshold for (B, M) batches, or a float for one pair."""
     f, f_prime = checked_pair(f, f_prime)
@@ -212,7 +209,7 @@ def dbc_statistic_batch(model: DbcModel, f: np.ndarray, f_prime: np.ndarray):
 
 def decide_dbc(model: DbcModel, f: np.ndarray, f_prime: np.ndarray) -> Decision:
     """H1 iff ||f - f'||_q exceeds the tuned threshold; ties go to H0."""
-    return _margin_decision(float(dbc_statistic_batch(model, f, f_prime)))
+    return Decision(float(dbc_statistic_batch(model, f, f_prime)))
 
 
 def kmc_statistic_batch(model: KmcModel, f: np.ndarray, f_prime: np.ndarray):
@@ -231,4 +228,4 @@ def kmc_statistic_batch(model: KmcModel, f: np.ndarray, f_prime: np.ndarray):
 
 def decide_kmc(model: KmcModel, f: np.ndarray, f_prime: np.ndarray) -> Decision:
     """DBC(l2) rule in centroid-distance space; ties go to H0."""
-    return _margin_decision(float(kmc_statistic_batch(model, f, f_prime)))
+    return Decision(float(kmc_statistic_batch(model, f, f_prime)))

@@ -157,11 +157,8 @@ def _experiment_config(args) -> ev.ExperimentConfig:
 
 
 def _cmd_generate(args) -> int:
-    cfg = _experiment_config(args)
-    scenario = sm.generate_scenario(cfg.scenario, seed=derive_seed(cfg.master_seed, 0))
-    ms = sm.simulate_measurement_set(
-        scenario, cfg.n_estimates, cfg.n_samples, seed=derive_seed(cfg.master_seed, 1)
-    )
+    # the synthetic corpus of a sweep at the same seed, never a loaded one
+    ms = ev.load_corpus(replace(_experiment_config(args), measurements_path=None))
     save_measurements(ms, args.out, coords_path=args.coords_out)
     print(
         f"wrote {ms.n_locations} locations x {ms.n_estimates} estimates x "
@@ -171,16 +168,17 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if args.history_out and args.algorithm != "dnnc":
+        raise ConfigError("history_out: only the dnnc algorithm records a history")
     cfg = _experiment_config(args)
     ms = load_measurements(args.data)
     l_used = args.locations_used if args.locations_used is not None else ms.n_locations
+    # the split and pairs of a sweep iteration whose seed is --seed
     seed = cfg.master_seed
     split = split_locations(ms, l_used, cfg.train_fraction, seed=derive_seed(seed, 0))
-
-    if args.algorithm == "dnnc":
-        model, history = det.train_detector(
-            ms, split, cfg.k_train, cfg.k_val, cfg.train, seed=derive_seed(seed, 3)
-        )
+    train_pairs = build_pair_set(ms, split.train_ids, cfg.k_train, seed=derive_seed(seed, 1))
+    model, history = ev.fit_rule(ms, cfg, args.algorithm, split, train_pairs, seed)
+    if history is not None:
         print(
             f"dnnc: {history.n_epochs} epochs, best validation accuracy "
             f"{max(history.val_accuracy):.4f} at epoch {history.best_epoch()}"
@@ -188,17 +186,8 @@ def _cmd_train(args) -> int:
         if args.history_out:
             ev.emit_history(history, args.history_out)
     else:
-        train_pairs = build_pair_set(ms, split.train_ids, cfg.k_train, seed=derive_seed(seed, 1))
-        if args.algorithm in ("dbc1", "dbc2"):
-            model = bm.train_dbc(train_pairs, 1 if args.algorithm == "dbc1" else 2)
-            print(f"{args.algorithm}: threshold {model.threshold!r}")
-        else:
-            model = bm.train_kmc(
-                ms, split.train_ids, train_pairs, cfg.kappa, seed=derive_seed(seed, 4)
-            )
-            print(f"kmc: {model.kappa} centroids, threshold {model.threshold!r}")
-        if args.history_out:
-            raise ConfigError("history_out: only the dnnc algorithm records a history")
+        centroids = f"{model.kappa} centroids, " if args.algorithm == "kmc" else ""
+        print(f"{args.algorithm}: {centroids}threshold {model.threshold!r}")
     save_model(model, args.model_out)
     print(f"wrote model to {args.model_out}")
     return 0
@@ -358,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tr = sub.add_parser("train", help="train one algorithm and save a model file")
     tr.add_argument("--data", required=True, help="measurement CSV")
-    tr.add_argument("--algorithm", required=True, choices=["dnnc", "dbc1", "dbc2", "kmc"])
+    tr.add_argument("--algorithm", required=True, choices=ev.ALGORITHMS)
     tr.add_argument("--model-out", required=True)
     tr.add_argument("--seed", type=int, required=True)
     tr.add_argument("--config", default=None)

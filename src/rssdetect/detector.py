@@ -58,14 +58,18 @@ class Hypothesis(enum.Enum):
 
 @dataclass(frozen=True)
 class Decision:
-    hypothesis: Hypothesis
-    statistic: float
-    posterior: float  # P[H1 | f, f'] under the sigmoid link
+    """Threshold-0 decision on any rule's statistic; an exact tie goes to H0."""
 
-    def __post_init__(self):
-        wants_h1 = self.statistic > 0.0
-        if wants_h1 != (self.hypothesis is Hypothesis.H1):
-            raise ValueError("hypothesis must be H1 exactly when the statistic is > 0")
+    statistic: float
+
+    @property
+    def hypothesis(self) -> Hypothesis:
+        return Hypothesis.H1 if self.statistic > 0.0 else Hypothesis.H0
+
+    @property
+    def posterior(self) -> float:
+        """P[H1 | f, f'] under the sigmoid link."""
+        return sigmoid(self.statistic)
 
 
 @dataclass(frozen=True)
@@ -95,6 +99,10 @@ class DetectorModel:
     def n_features(self) -> int:
         return self.feature_mean.shape[0]
 
+    def statistic_batch(self, f, f_prime):
+        """The symmetrized statistic; see :func:`statistic_batch`."""
+        return statistic_batch(self, f, f_prime)
+
 
 def sigmoid(x):
     """Numerically stable logistic function."""
@@ -109,7 +117,7 @@ def sigmoid(x):
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-    return float(out) if out.ndim == 0 else out
+    return out
 
 
 def softplus(x):
@@ -201,12 +209,7 @@ def statistic(model: DetectorModel, f: np.ndarray, f_prime: np.ndarray) -> float
 
 def decide(model: DetectorModel, f: np.ndarray, f_prime: np.ndarray) -> Decision:
     """Threshold-0 decision; an exact tie goes to H0."""
-    g = statistic(model, f, f_prime)
-    return Decision(
-        hypothesis=Hypothesis.H1 if g > 0.0 else Hypothesis.H0,
-        statistic=g,
-        posterior=sigmoid(g),
-    )
+    return Decision(statistic(model, f, f_prime))
 
 
 def pair_loss(model: DetectorModel, pair_set: PairSet) -> float:
@@ -256,23 +259,10 @@ def _stack_both_orders(model: DetectorModel, first: np.ndarray, second: np.ndarr
     return _both_orders(_standardize(model, first), _standardize(model, second))
 
 
-def _loss_terms(
-    model: DetectorModel, first: np.ndarray, second: np.ndarray, labels_h1: np.ndarray
-) -> tuple[float, GradientBundle]:
-    """Mean pair loss and its exact gradient w.r.t. the network parameters."""
-    stacked = _stack_both_orders(model, first, second)
-    return _loss_from_stacked(model.params, stacked, labels_h1, model.negative_slope)
-
-
 def pair_loss_grad(model: DetectorModel, pair_set: PairSet) -> tuple[float, GradientBundle]:
     """Loss and gradient over a whole pair set (used by tests and training)."""
-    return _loss_terms(model, pair_set.first, pair_set.second, pair_set.labels)
-
-
-def accuracy(model: DetectorModel, pair_set: PairSet) -> float:
-    """Fraction of pairs whose threshold-0 decision matches the label."""
-    g = statistic_batch(model, pair_set.first, pair_set.second)
-    return float(np.count_nonzero((g > 0.0) == pair_set.labels) / len(pair_set))
+    stacked = _stack_both_orders(model, pair_set.first, pair_set.second)
+    return _loss_from_stacked(model.params, stacked, pair_set.labels, model.negative_slope)
 
 
 def freeze_standardization(pair_set: PairSet) -> tuple[np.ndarray, np.ndarray]:

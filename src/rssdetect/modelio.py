@@ -31,7 +31,7 @@ import struct
 import numpy as np
 
 from .benchmarks import DbcModel, KmcModel
-from .detector import DetectorModel
+from .detector import Decision, DetectorModel
 from .errors import DataFormatError
 from .neural import MlpParams
 
@@ -161,14 +161,5 @@ def _decode(r: _Reader):
 
 
 def decide_any(model, f, f_prime):
-    """Dispatch the pairwise decision to the model's own rule."""
-    from .benchmarks import decide_dbc, decide_kmc
-    from .detector import decide
-
-    if isinstance(model, DetectorModel):
-        return decide(model, f, f_prime)
-    if isinstance(model, DbcModel):
-        return decide_dbc(model, f, f_prime)
-    if isinstance(model, KmcModel):
-        return decide_kmc(model, f, f_prime)
-    raise TypeError(f"cannot decide with {type(model).__name__}")
+    """Decide with any model: the threshold-0 rule on its own statistic."""
+    return Decision(float(model.statistic_batch(f, f_prime)))

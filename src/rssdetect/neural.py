@@ -108,6 +108,8 @@ class TrainConfig:
         if self.l1_lambda < 0:
             raise ValueError(f"l1_lambda must be >= 0, got {self.l1_lambda}")
         _check_slope(self.negative_slope)
+        if any(size < 1 for size in self.hidden_sizes):
+            raise ValueError(f"hidden_sizes entries must be >= 1, got {self.hidden_sizes}")
         if self.init_scale <= 0:
             raise ValueError(f"init_scale must be > 0, got {self.init_scale}")
 
@@ -136,6 +138,8 @@ def init_params(layer_sizes, seed: int, scale: float = 1.0) -> MlpParams:
     sizes = list(layer_sizes)
     if len(sizes) < 2:
         raise ValueError("layer_sizes must name at least input and output widths")
+    if min(sizes) < 1:
+        raise ValueError(f"layer sizes must be >= 1, got {min(sizes)} in {sizes}")
     rng = np.random.default_rng(as_seed_sequence(seed))
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):

@@ -3,6 +3,9 @@ import pytest
 
 from rssdetect.cli import main, parse_config_file, apply_config
 from rssdetect import evaluation as ev
+from rssdetect.dataset import build_pair_set, load_measurements, split_locations
+from rssdetect.modelio import save_model
+from rssdetect.seeding import derive_seed
 
 
 @pytest.fixture()
@@ -94,6 +97,84 @@ def test_train_dnnc_with_history(tmp_path, small_args):
     from rssdetect.detector import DetectorModel
 
     assert isinstance(load_model(model), DetectorModel)
+
+
+@pytest.mark.parametrize("algorithm", ["dbc1", "kmc"])
+def test_history_out_refused_before_fitting(tmp_path, small_args, capsys, algorithm):
+    meas = tmp_path / "meas.csv"
+    assert main(["generate", "--out", str(meas), "--seed", "11", "--config", str(small_args)]) == 0
+    capsys.readouterr()
+    model, history = tmp_path / "m.model", tmp_path / "h.csv"
+    rc = main(
+        [
+            "train",
+            "--data", str(meas),
+            "--algorithm", algorithm,
+            "--model-out", str(model),
+            "--history-out", str(history),
+            "--seed", "12",
+            "--config", str(small_args),
+        ]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: history_out: only the dnnc algorithm records a history\n"
+    assert not model.exists() and not history.exists()
+
+
+def test_train_rejects_zero_hidden_size(tmp_path, small_args, capsys):
+    meas = tmp_path / "meas.csv"
+    assert main(["generate", "--out", str(meas), "--seed", "11", "--config", str(small_args)]) == 0
+    capsys.readouterr()
+    config = tmp_path / "zero.cfg"
+    config.write_text(small_args.read_text() + "\nhidden_sizes = 0\n")
+    rc = main(
+        [
+            "train",
+            "--data", str(meas),
+            "--algorithm", "dnnc",
+            "--model-out", str(tmp_path / "m.model"),
+            "--seed", "12",
+            "--config", str(config),
+        ]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "hidden_sizes" in lines[0]
+
+
+@pytest.mark.parametrize("algorithm", ev.ALGORITHMS)
+def test_train_model_file_is_fit_rule_at_the_iteration_seed_paths(
+    tmp_path, small_args, capsys, algorithm
+):
+    meas = tmp_path / "meas.csv"
+    assert main(["generate", "--out", str(meas), "--seed", "11", "--config", str(small_args)]) == 0
+    seed, l_used = 17, 12
+    model = tmp_path / "cli.model"
+    assert main(
+        [
+            "train",
+            "--data", str(meas),
+            "--algorithm", algorithm,
+            "--model-out", str(model),
+            "--seed", str(seed),
+            "--locations-used", str(l_used),
+            "--config", str(small_args),
+        ]
+    ) == 0
+    # run_iteration's split (k = 0) and training pairs (k = 1) at iter_seed = --seed
+    cfg = apply_config(ev.ExperimentConfig(), parse_config_file(small_args))
+    ms = load_measurements(meas)
+    split = split_locations(ms, l_used, cfg.train_fraction, seed=derive_seed(seed, 0))
+    train_pairs = build_pair_set(ms, split.train_ids, cfg.k_train, seed=derive_seed(seed, 1))
+    fitted, history = ev.fit_rule(ms, cfg, algorithm, split, train_pairs, seed)
+    assert (history is not None) == (algorithm == "dnnc")
+    reference = tmp_path / "ref.model"
+    save_model(fitted, reference)
+    assert model.read_bytes() == reference.read_bytes()
 
 
 def test_sweep_locations_deterministic_bytes(tmp_path, small_args):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rssdetect import detector as det
-from rssdetect import neural
+from rssdetect import modelio, neural
+from rssdetect.benchmarks import DbcModel
 from rssdetect.dataset import Label, MeasurementSet, PairSet, build_pair_set, split_locations
 from rssdetect.neural import MlpParams, TrainConfig
 
@@ -243,6 +244,16 @@ class TestDecide:
         pair[slot][0] = bad
         with pytest.raises(ValueError, match="finite"):
             det.decide(make_model(), *pair)
+
+    @pytest.mark.parametrize("g", [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf])
+    def test_decision_follows_statistic(self, g):
+        d = det.Decision(g)
+        assert (d.hypothesis is det.Hypothesis.H1) == (g > 0.0)
+        assert np.float64(d.posterior).tobytes() == np.float64(det.sigmoid(g)).tobytes()
+        assert np.float64(d.posterior).tobytes() == det.sigmoid(np.array([g]))[0].tobytes()
+        # the same boundary through decide_any: a DBC margin of 0 - threshold
+        got = modelio.decide_any(DbcModel(norm_order=1, threshold=-g), np.zeros(2), np.zeros(2))
+        assert got.statistic == g and got.hypothesis is d.hypothesis
 
 
 class TestStatisticBatchFailsClosed:

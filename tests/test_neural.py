@@ -45,6 +45,18 @@ class TestInit:
         with pytest.raises(ValueError):
             neural.init_params([5], seed=0)
 
+    @pytest.mark.parametrize("sizes", [[0, 4, 1], [6, 0, 1], [6, 4, -2]])
+    def test_non_positive_size_named(self, sizes):
+        bad = min(sizes)
+        with pytest.raises(ValueError, match=f"got {bad} in"):
+            neural.init_params(sizes, seed=0)
+
+
+@pytest.mark.parametrize("hidden", [(0,), (8, -2), (8, 0, 8)])
+def test_train_config_rejects_non_positive_hidden_size(hidden):
+    with pytest.raises(ValueError, match="hidden_sizes"):
+        TrainConfig(hidden_sizes=hidden)
+
 
 class TestForward:
     def test_zero_params_give_zero(self):
