@@ -12,11 +12,17 @@ All powers are in dBm (dB relative to 1 mW); sample amplitudes are in
 sqrt(mW).  Every operation is pure given its inputs and seed.
 
 Seed tree of a campaign (fixed: changing it changes every output bit):
-``SeedSequence(seed).spawn(L*E)`` gives one child per estimate vector,
-child n*E + j for estimate j of location n.  Each of those spawns M+1
-children: child 0 draws the per-group gain drift, child rx+1 seeds the
-generator of channel rx's window, which draws the uniform tone phase,
-then N_s real and then N_s imaginary noise normals.
+estimate j of location n draws from child n*E + j of
+``SeedSequence(seed)``, i.e. spawn key (n*E + j,).  Its sub-child 0
+(key (n*E + j, 0)) draws the per-group gain drift; sub-child rx+1 seeds
+the generator of channel rx's window, which draws the uniform tone
+phase, then N_s real and then N_s imaginary noise normals.  These are
+the streams ``spawn`` would hand out, but no SeedSequence or generator
+is built per window: ``seeding.pcg64_states`` derives the PCG64 state of
+every stream of a location in one vectorized pass, and one reused
+generator is set to each state in turn.  ``estimate_rss_vector`` on a
+SeedSequence reads the same children its ``spawn`` would give next,
+without spawning, so the caller's object is left untouched.
 
 Synthesis runs one location at a time: the E*M windows of a location
 are drawn per generator, then toned, summed and averaged as one batch,
@@ -32,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegeneratePowerError
-from .seeding import SeedLike, as_seed_sequence
+from .seeding import SeedLike, as_seed_sequence, pcg64_states
 
 
 def db_to_linear(power_db: float) -> float:
@@ -284,29 +290,40 @@ def true_rss(scenario: Scenario, location_id: int) -> TrueRssVector:
     return TrueRssVector(location_id=location_id, values_db=values)
 
 
-def _sample_windows(
-    cfg: ScenarioConfig, amplitudes: np.ndarray, seeds, n_samples: int
-) -> np.ndarray:
-    """Complex samples of ``len(seeds)`` windows, one window per row.
+def _generators(states):
+    """One reused ``Generator``, set in turn to each PCG64 ``(state, inc)``."""
+    bit_generator = np.random.PCG64(0)
+    inner = {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
+    rng = np.random.Generator(bit_generator)
+    for state, inc in states:
+        inner["state"], inner["inc"] = state, inc
+        bit_generator.state = full
+        yield rng
 
-    Window i has tone amplitude ``amplitudes[i]`` and draws from
-    ``default_rng(seeds[i])``: the uniform phase, then N_s real and N_s
-    imaginary noise normals.  Only those draws run per window; the tone,
-    noise scaling and sum are elementwise over all rows, so a window's
-    samples do not depend on which other windows share the call.
+
+def _sample_windows(
+    cfg: ScenarioConfig, amplitudes: np.ndarray, states, n_samples: int
+) -> np.ndarray:
+    """Complex samples of ``len(states)`` windows, one window per row.
+
+    Window i has tone amplitude ``amplitudes[i]`` and draws from a PCG64
+    started at ``states[i]``: the uniform phase, then 2*N_s noise normals,
+    N_s real parts followed by N_s imaginary parts.  Only those draws run
+    per window; the tone, noise scaling and sum are elementwise over all
+    rows, so a window's samples do not depend on which other windows
+    share the call.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     noise_power = db_to_linear(cfg.noise_dbm)
-    phases = np.empty(len(seeds))
-    real = np.empty((len(seeds), n_samples))
-    imag = np.empty((len(seeds), n_samples))
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        phases[i] = rng.uniform(0.0, 2.0 * math.pi)
+    phases = np.empty(len(states))
+    normals = np.empty((len(states), 2 * n_samples))
+    for i, rng in enumerate(_generators(states)):
+        # Generator.uniform(0, 2*pi) is 0.0 + 2*pi * random(), bit for bit
+        phases[i] = 2.0 * math.pi * rng.random()
         if noise_power > 0.0:
-            rng.standard_normal(out=real[i])
-            rng.standard_normal(out=imag[i])
+            rng.standard_normal(out=normals[i])
 
     k = np.arange(n_samples)
     tone = amplitudes[:, None] * np.exp(
@@ -314,6 +331,7 @@ def _sample_windows(
     )
     noise = 0.0
     if noise_power > 0.0:
+        real, imag = normals[:, :n_samples], normals[:, n_samples:]
         noise = math.sqrt(noise_power / 2.0) * (real + 1j * imag)
     return tone + noise
 
@@ -350,7 +368,8 @@ def draw_sample_window(
     """
     p_rx = received_power_dbm(scenario, location_id, receiver_id) + extra_gain_db
     amplitude = np.array([math.sqrt(db_to_linear(p_rx))])
-    samples = _sample_windows(scenario.config, amplitude, [seed], n_samples)
+    states = pcg64_states(as_seed_sequence(seed), np.empty((1, 0), dtype=np.int64))
+    samples = _sample_windows(scenario.config, amplitude, states, n_samples)
     return SampleWindow(
         location_id=location_id,
         receiver_id=receiver_id,
@@ -371,34 +390,38 @@ def estimate_rss(window: SampleWindow) -> float:
 
 
 def _estimate_vectors(
-    scenario: Scenario, location_id: int, n_samples: int, seeds
+    scenario: Scenario,
+    location_id: int,
+    n_samples: int,
+    parent: np.random.SeedSequence,
+    tails: np.ndarray,
 ) -> np.ndarray:
-    """RSS vector estimates at one location, one row per seed, in dBm.
+    """RSS vector estimates at one location, one row per estimate, in dBm.
 
-    Estimate j spawns M+1 children from ``seeds[j]``: child 0 draws the
-    per-group gain drift, child rx+1 drives the window of channel rx.
-    All len(seeds)*M windows are synthesized in one batch.
+    Estimate j draws from the M+1 descendants of ``parent`` whose spawn
+    keys are ``parent.spawn_key`` followed by ``tails[j, 0]``, ...,
+    ``tails[j, M]`` (``tails`` has shape (E, M+1, k)): stream 0 draws the
+    per-group gain drift, stream rx+1 drives the window of channel rx.
+    All E*M windows are synthesized in one batch.
     """
     cfg = scenario.config
     m = scenario.n_channels
+    n_estimates = tails.shape[0]
     signal_dbm = np.array([_signal_power_dbm(scenario, location_id, rx) for rx in range(m)])
     n_groups = int(scenario.receiver_group.max()) + 1
-    p_rx = np.empty((len(seeds), m))
-    window_seeds = []
-    for j, seed in enumerate(seeds):
-        children = as_seed_sequence(seed).spawn(m + 1)
-        if cfg.gain_drift_std_db > 0.0:
-            drift_rng = np.random.default_rng(children[0])
-            drift = drift_rng.normal(0.0, cfg.gain_drift_std_db, size=n_groups)
-        else:
-            drift = np.zeros(n_groups)
-        p_rx[j] = signal_dbm + drift[scenario.receiver_group]
-        window_seeds.extend(children[1:])
+    states = pcg64_states(parent, tails.reshape(-1, tails.shape[-1]))
+    if cfg.gain_drift_std_db > 0.0:
+        drift_rngs = _generators(states[:: m + 1])
+        drift = np.array([rng.normal(0.0, cfg.gain_drift_std_db, size=n_groups) for rng in drift_rngs])
+    else:
+        drift = np.zeros((n_estimates, n_groups))
+    p_rx = signal_dbm + drift[:, scenario.receiver_group]
+    window_states = [s for i, s in enumerate(states) if i % (m + 1)]
 
     amplitudes = np.array([math.sqrt(db_to_linear(p)) for p in p_rx.ravel().tolist()])
-    powers = _mean_power(_sample_windows(cfg, amplitudes, window_seeds, n_samples))
+    powers = _mean_power(_sample_windows(cfg, amplitudes, window_states, n_samples))
     values = [_rss_db(p, location_id, i % m) for i, p in enumerate(powers.tolist())]
-    return np.array(values).reshape(len(seeds), m)
+    return np.array(values).reshape(n_estimates, m)
 
 
 def estimate_rss_vector(
@@ -409,10 +432,14 @@ def estimate_rss_vector(
     The transmitter position is held fixed across the M windows; noise
     streams are independent per channel.  If the scenario has nonzero
     gain drift, one offset per receiver group is drawn for this estimate
-    and applied to all windows of that group.
+    and applied to all windows of that group.  The streams are the M+1
+    children ``spawn`` would give next; a SeedSequence seed is read, never
+    spawned from, so repeated calls with it return the same vector.
     """
     _check_ids(scenario, location_id)
-    return _estimate_vectors(scenario, location_id, n_samples, [seed])[0]
+    ss = as_seed_sequence(seed)
+    tails = ss.n_children_spawned + np.arange(scenario.n_channels + 1)
+    return _estimate_vectors(scenario, location_id, n_samples, ss, tails[None, :, None])[0]
 
 
 def simulate_measurement_set(
@@ -422,20 +449,21 @@ def simulate_measurement_set(
 
     Returns a :class:`rssdetect.dataset.MeasurementSet` with location ids
     0..L-1 and the scenario's transmitter coordinates attached.  Estimate
-    j of location n is ``estimate_rss_vector`` on child n*E + j of
-    ``SeedSequence(seed).spawn(L*E)``.
+    j of location n is ``estimate_rss_vector`` on
+    ``SeedSequence(seed, spawn_key=(n*E + j,))``, the child that
+    ``SeedSequence(seed).spawn`` hands out at index n*E + j.
     """
     from .dataset import MeasurementSet  # local import to keep dataset free of this module
 
     if n_estimates < 2:
         raise ConfigError(f"n_estimates must be >= 2, got {n_estimates}")
-    ss = np.random.SeedSequence(seed)
-    children = ss.spawn(scenario.n_locations * n_estimates)
+    parent = np.random.SeedSequence(seed)
     values = np.empty((scenario.n_locations, n_estimates, scenario.n_channels))
+    tails = np.empty((n_estimates, scenario.n_channels + 1, 2), dtype=np.int64)
+    tails[:, :, 1] = np.arange(scenario.n_channels + 1)
     for n in range(scenario.n_locations):
-        values[n] = _estimate_vectors(
-            scenario, n, n_samples, children[n * n_estimates : (n + 1) * n_estimates]
-        )
+        tails[:, :, 0] = n * n_estimates + np.arange(n_estimates)[:, None]
+        values[n] = _estimate_vectors(scenario, n, n_samples, parent, tails)
     return MeasurementSet(
         values=values,
         location_ids=np.arange(scenario.n_locations, dtype=np.int64),

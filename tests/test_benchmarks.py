@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from rssdetect import benchmarks as bm
 from rssdetect.dataset import Label, PairSet
@@ -23,6 +25,22 @@ def rule_accuracy(distances, labels_h1, threshold) -> float:
     d = np.asarray(distances, dtype=float)
     y = np.asarray(labels_h1, dtype=bool)
     return float(np.mean((d > threshold) == y))
+
+
+def exhaustive_threshold(distances, labels_h1) -> tuple[float, float]:
+    """Accuracy of every candidate midpoint, scanned upward; the first best wins."""
+    uniq = sorted(set(distances))
+    candidates = [-math.inf] + [(a + b) / 2.0 for a, b in zip(uniq, uniq[1:])] + [math.inf]
+    best_t, best_acc = None, -1.0
+    for t in candidates:
+        acc = sum((d > t) == y for d, y in zip(distances, labels_h1)) / len(distances)
+        if acc > best_acc:
+            best_t, best_acc = t, acc
+    return best_t, best_acc
+
+
+# few distinct values, so ties and duplicate distances are common
+DISTANCE = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e6, 1e6))
 
 
 def pair_set_from_arrays(first, second, k) -> PairSet:
@@ -70,6 +88,17 @@ class TestTuneThreshold:
             fit = bm.tune_threshold(d, y)
             assert fit.accuracy == pytest.approx(rule_accuracy(d, y, fit.threshold), abs=0.0)
             assert fit.accuracy >= grid_search_accuracy(d, y, n_points=2000) - 1e-12
+
+    @given(st.lists(st.tuples(DISTANCE, st.booleans()), min_size=1, max_size=40))
+    @example([(1.0, False), (1.0, True), (2.0, False), (2.0, True)])
+    @example([(0.5, False), (0.5, False), (-1.0, False)])
+    @example([(0.5, True), (3.0, True), (3.0, True)])
+    @example([(2.0, True), (1.0, False), (2.0, False), (0.0, True)])
+    def test_matches_exhaustive_scan(self, samples):
+        d = [s[0] for s in samples]
+        y = [s[1] for s in samples]
+        fit = bm.tune_threshold(d, y)
+        assert (fit.threshold, fit.accuracy) == exhaustive_threshold(d, y)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from rssdetect import dataset as ds
 from rssdetect.errors import DataFormatError
@@ -7,6 +12,28 @@ from rssdetect.errors import DataFormatError
 # chi-square critical value, df=9, upper tail 0.01
 # (frozen from scipy.stats.chi2.isf(0.01, 9))
 CHI2_DF9_P01 = 21.665994333461928
+
+
+# signed zeros, the smallest subnormal, the normal/subnormal boundary and
+# the largest finite magnitudes
+EDGE_FLOATS = [
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308,
+    1.7976931348623157e308, -1.7976931348623157e308,
+]
+FINITE = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def measurement_sets(draw) -> ds.MeasurementSet:
+    l, e, m = draw(st.integers(1, 3)), draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    values = draw(st.lists(FINITE, min_size=l * e * m, max_size=l * e * m))
+    coords = draw(st.lists(FINITE, min_size=3 * l, max_size=3 * l))
+    ids = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=l, max_size=l, unique=True))
+    return ds.MeasurementSet(
+        values=np.array(values).reshape(l, e, m),
+        location_ids=np.array(ids, dtype=np.int64),
+        coordinates=np.array(coords).reshape(l, 3),
+    )
 
 
 def make_corpus(l=10, e=4, m=3, seed=0, ids=None) -> ds.MeasurementSet:
@@ -137,6 +164,24 @@ class TestMeasurementFile:
         assert np.array_equal(back.values, ms.values)
         assert np.array_equal(back.location_ids, ms.location_ids)
         assert np.array_equal(back.coordinates, ms.coordinates)
+
+    @given(ms=measurement_sets())
+    @example(
+        ms=ds.MeasurementSet(
+            values=np.array(EDGE_FLOATS).reshape(1, 2, 4),
+            location_ids=np.array([0], dtype=np.int64),
+            coordinates=np.array(EDGE_FLOATS[-3:]).reshape(1, 3),
+        )
+    )
+    def test_round_trip_bit_exact_property(self, ms):
+        # tobytes tells -0.0 from 0.0, which array_equal does not
+        with tempfile.TemporaryDirectory() as d:
+            path, coords = Path(d) / "meas.csv", Path(d) / "locations.csv"
+            ds.save_measurements(ms, path, coords_path=coords)
+            back = ds.load_measurements(path, coords_path=coords)
+        assert back.values.tobytes() == ms.values.tobytes()
+        assert back.location_ids.tobytes() == ms.location_ids.tobytes()
+        assert back.coordinates.tobytes() == ms.coordinates.tobytes()
 
     def test_campaign_scale_load(self, tmp_path):
         ms = make_corpus(l=52, e=4, m=16, seed=6)

@@ -237,6 +237,33 @@ class TestEstimateRssVector:
         b = sm.estimate_rss_vector(sc, 1, 16, seed=5)
         assert np.array_equal(a, b)
 
+    def test_seed_sequence_is_read_not_spawned(self):
+        # the caller's SeedSequence used to be spawned from, so a second
+        # call with the same object drew from different children
+        sc = make_plain_scenario(receivers=((1.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 3.0)))
+        ss = np.random.SeedSequence(77)
+        a = sm.estimate_rss_vector(sc, 0, 16, seed=ss)
+        b = sm.estimate_rss_vector(sc, 0, 16, seed=ss)
+        assert ss.n_children_spawned == 0
+        assert a.tobytes() == b.tobytes()
+        assert a.tobytes() == sm.estimate_rss_vector(sc, 0, 16, seed=np.random.SeedSequence(77)).tobytes()
+
+    def test_reads_the_children_spawn_would_give_next(self):
+        sc = make_plain_scenario(receivers=((1.0, 0.0, 0.0), (0.0, 2.0, 0.0)))
+        ss = np.random.SeedSequence(77, spawn_key=(4,))
+        ss.spawn(5)
+        vec = sm.estimate_rss_vector(sc, 0, 16, seed=ss)
+        children = ss.spawn(3)
+        want = [sm.estimate_rss(sm.draw_sample_window(sc, 0, rx, 16, seed=children[rx + 1])) for rx in range(2)]
+        assert vec.tolist() == want
+
+    def test_child_index_beyond_one_word_raises(self):
+        # spawn keys of 2**32 and up take two words; the derivation refuses them
+        sc = make_plain_scenario()
+        ss = np.random.SeedSequence(1, n_children_spawned=2**32 - 1)
+        with pytest.raises(ValueError):
+            sm.estimate_rss_vector(sc, 0, 8, seed=ss)
+
     def test_gain_drift_shared_within_group(self):
         # two colocated antennas drift together; a distant one does not
         cfg = sm.ScenarioConfig(
