@@ -235,7 +235,9 @@ def _cmd_check(args) -> int:
 
     rng = np.random.default_rng(args.seed)
 
-    # commutativity of the symmetrized statistic and all decision rules
+    # commutativity of the symmetrized statistic and all decision rules;
+    # KMC draws from its own stream, so the other checks see the same draws
+    kmc_rng = np.random.default_rng(derive_seed(args.seed, 1))
     worst = 0.0
     swap_ok = True
     for _ in range(100):
@@ -252,6 +254,11 @@ def _cmd_check(args) -> int:
         swap_ok &= det.decide(model, f, fp).hypothesis == det.decide(model, fp, f).hypothesis
         dbc = bm.DbcModel(norm_order=int(rng.integers(1, 3)), threshold=float(rng.normal()))
         swap_ok &= bm.decide_dbc(dbc, f, fp).hypothesis == bm.decide_dbc(dbc, fp, f).hypothesis
+        kmc = bm.KmcModel(
+            centroids=kmc_rng.normal(size=(int(kmc_rng.integers(1, 5)), m)),
+            threshold=float(kmc_rng.normal()),
+        )
+        swap_ok &= kmc.statistic_batch(f, fp) == kmc.statistic_batch(fp, f)
     report("commutativity", worst <= 1e-9 and swap_ok, f"worst rel asymmetry {worst:.2e}")
 
     # gradient check on the symmetrized pair loss

@@ -82,6 +82,10 @@ class DetectorModel:
     negative_slope: float = 0.01
 
     def __post_init__(self):
+        # decisions run in the parameters' dtype; a float32 model would
+        # quietly decide at lower precision
+        if any(a.dtype != np.float64 for a in (*self.params.weights, *self.params.biases)):
+            raise ValueError("detector parameters must be float64")
         m = self.feature_mean.shape[0]
         if m < 1:
             raise ValueError("the model needs at least one feature")
@@ -292,6 +296,11 @@ def train_detector(
     fraction of validation pairs whose decision matches the label.  Four
     independent substreams are derived from ``seed``: train pairs,
     validation pairs, weight init, and epoch shuffling.
+
+    The standardization and the initial weights are computed in float64;
+    the network then trains on float32 copies of the weights and of the
+    standardized train and validation stacks.  The best snapshot is
+    upcast to float64, exactly, so the returned model decides in float64.
     """
     ss = np.random.SeedSequence(seed)
     s_train, s_val, s_init, s_shuffle = ss.spawn(4)
@@ -311,15 +320,18 @@ def train_detector(
     # build them once: rows [0, 2K) are (f, f'), rows [2K, 4K) the swap
     n_train = len(train_pairs)
     train_stack = _stack_both_orders(model, train_pairs.first, train_pairs.second)
+    train_stack = train_stack.astype(np.float32)
     labels = train_pairs.labels
     val_stack = _stack_both_orders(model, val_pairs.first, val_pairs.second)
+    val_stack = val_stack.astype(np.float32)
     val_labels = val_pairs.labels
     n_val = len(val_pairs)
+    params = params.astype(np.float32)
 
     # one workspace serves every step; a short last batch uses its first rows
     rows = 2 * min(cfg.batch_size, n_train)
     workspace = neural.Workspace(params, rows)
-    stacked_buf = np.empty((rows, train_stack.shape[1]))
+    stacked_buf = np.empty((rows, train_stack.shape[1]), np.float32)
 
     def batch_grad(p: MlpParams, idx: np.ndarray):
         k = idx.size
@@ -337,7 +349,10 @@ def train_detector(
     best, history = neural.train_loop(params, len(train_pairs), batch_grad, val_acc, loop_cfg)
     return (
         DetectorModel(
-            params=best, feature_mean=mean, feature_std=std, negative_slope=cfg.negative_slope
+            params=best.astype(np.float64),
+            feature_mean=mean,
+            feature_std=std,
+            negative_slope=cfg.negative_slope,
         ),
         history,
     )

@@ -16,6 +16,12 @@ training (which spawns its own train/validation pair streams), and
 4 k-means.  Paths never collide, so iterations may run in any order (or
 concurrently) with identical results; reports reduce raw accuracies in
 fixed iteration order for bit-stable output.
+
+Seed-contract bump (float32 training): the detector now trains in
+float32 (see :func:`detector.train_detector`).  The seeds and streams
+above are unchanged, but every DNNC model, history and report byte
+differs from the float64-training releases.  Synthesis, the DBC/KMC
+baselines and their reports are byte-identical across the bump.
 """
 
 from __future__ import annotations

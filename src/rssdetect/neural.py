@@ -1,10 +1,17 @@
 """Minimal dense feed-forward network with hand-rolled backprop.
 
 The architecture family is fixed: affine layers with leaky-ReLU
-activations and a single linear output neuron.  Everything is float64;
-gradient-check fidelity matters more than speed at this scale.  Weight
-matrices are (fan_out, fan_in); a batch of inputs is a (B, fan_in)
-array.
+activations and a single linear output neuron.  Weight matrices are
+(fan_out, fan_in); a batch of inputs is a (B, fan_in) array.
+
+Every pass computes in the dtype of the parameters
+(``params.weights[0].dtype``): inputs, upstream gradients, workspaces and
+scratch arrays are all cast to it.  :func:`init_params` returns float64
+parameters, and on them every pass runs in float64, which is what
+decisions and the gradient checks use.  The detector trains on a float32
+copy (:meth:`MlpParams.astype`) and upcasts the fitted snapshot back to
+float64, exactly, so a fit is mostly float32 GEMMs while every stored
+model and every decision stays float64.
 
 Every pass writes into a :class:`Workspace`: preallocated pre-activation,
 activation, delta, leaky-derivative and gradient buffers for up to a
@@ -43,8 +50,8 @@ from .seeding import as_seed_sequence
 class MlpParams:
     """Trainable weights and biases, one (W, b) per layer."""
 
-    weights: list  # of (out, in) float64 arrays
-    biases: list  # of (out,) float64 arrays
+    weights: list  # of (out, in) arrays, all of one float dtype
+    biases: list  # of (out,) arrays of the same dtype
 
     @property
     def layer_sizes(self) -> list[int]:
@@ -58,6 +65,13 @@ class MlpParams:
         return MlpParams(
             weights=[w.copy() for w in self.weights],
             biases=[b.copy() for b in self.biases],
+        )
+
+    def astype(self, dtype) -> "MlpParams":
+        """A copy with every array cast to ``dtype``."""
+        return MlpParams(
+            weights=[w.astype(dtype) for w in self.weights],
+            biases=[b.astype(dtype) for b in self.biases],
         )
 
 
@@ -84,6 +98,9 @@ class TrainConfig:
     validation accuracy typically saturates within ~20 epochs.
 
     ``negative_slope`` must lie in [0, 1] (see the module docstring).
+    A detector fit runs in float32, so there ``negative_slope``,
+    ``l1_lambda`` and ``learning_rate`` act as their nearest float32
+    values.
     """
 
     learning_rate: float = 0.15
@@ -159,18 +176,19 @@ class Workspace:
 
     Holds, per hidden layer, the pre-activations, activations and deltas;
     one leaky-derivative factor buffer; the (rows, 1) output; and one
-    gradient of every parameter.  Passes over fewer rows use row-slice
-    views of these buffers.
+    gradient of every parameter, all in the parameters' dtype.  Passes
+    over fewer rows use row-slice views of these buffers.
     """
 
     def __init__(self, params: MlpParams, rows: int):
         hidden = params.layer_sizes[1:-1]
+        dtype = params.weights[0].dtype
         self.rows = rows
-        self.pre = [np.empty((rows, h)) for h in hidden]
-        self.acts = [np.empty((rows, h)) for h in hidden]
-        self.out = np.empty((rows, 1))
-        self.delta = [np.empty((rows, h)) for h in hidden]
-        self.factor = np.empty(rows * max(hidden, default=0))
+        self.pre = [np.empty((rows, h), dtype) for h in hidden]
+        self.acts = [np.empty((rows, h), dtype) for h in hidden]
+        self.out = np.empty((rows, 1), dtype)
+        self.delta = [np.empty((rows, h), dtype) for h in hidden]
+        self.factor = np.empty(rows * max(hidden, default=0), dtype)
         self.grads = GradientBundle(
             weights=[np.empty_like(w) for w in params.weights],
             biases=[np.empty_like(b) for b in params.biases],
@@ -213,7 +231,7 @@ def _forward(params: MlpParams, a: np.ndarray, negative_slope: float, ws: Worksp
     rows = a.shape[0]
     if ws is None:
         size = rows * max(w.shape[0] for w in params.weights)
-        z_flat, a_flat = np.empty(size), np.empty(size)
+        z_flat, a_flat = np.empty(size, a.dtype), np.empty(size, a.dtype)
     elif rows > ws.rows:
         raise ValueError(f"batch of {rows} rows exceeds the workspace's {ws.rows}")
     pre = []
@@ -228,7 +246,7 @@ def _forward(params: MlpParams, a: np.ndarray, negative_slope: float, ws: Worksp
             acts.append(a_buf)
         z = _affine(a, w, b, z_buf)
         a = _leaky_relu(z, negative_slope, a_buf)
-    out_buf = np.empty((rows, 1)) if ws is None else ws.out[:rows]
+    out_buf = np.empty((rows, 1), a.dtype) if ws is None else ws.out[:rows]
     return _affine(a, params.weights[-1], params.biases[-1], out_buf)[:, 0], pre, acts
 
 
@@ -237,9 +255,10 @@ def forward(params: MlpParams, x: np.ndarray, negative_slope: float = 0.01):
 
     A 1-D input of length fan_in yields a float; a (B, fan_in) batch
     yields a (B,) array.  Hidden layers are affine + leaky ReLU; the
-    output layer is affine with a single linear neuron.
+    output layer is affine with a single linear neuron.  The pass runs in
+    the parameters' dtype.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=params.weights[0].dtype)
     single = x.ndim == 1
     a = x[None, :] if single else x
     if a.shape[1] != params.weights[0].shape[1]:
@@ -264,7 +283,7 @@ def forward_cached(
     outputs, the cache and the gradients later computed from it live in
     that workspace and hold until its next use.
     """
-    a = np.asarray(x, dtype=np.float64)
+    a = np.asarray(x, dtype=params.weights[0].dtype)
     ws = Workspace(params, a.shape[0]) if workspace is None else workspace
     out, pre, acts = _forward(params, a, negative_slope, ws)
     return out, (pre, acts, ws)
@@ -282,7 +301,8 @@ def backward_from_cache(
     rows = acts[0].shape[0]
     n = params.n_layers
     g_w, g_b = ws.grads.weights, ws.grads.biases
-    delta = np.asarray(upstream, dtype=np.float64)[:, None]  # output layer is linear
+    # output layer is linear
+    delta = np.asarray(upstream, dtype=params.weights[0].dtype)[:, None]
     np.matmul(delta.T, acts[-1], out=g_w[n - 1])
     np.sum(delta, axis=0, out=g_b[n - 1])
     for layer in range(n - 2, -1, -1):
@@ -308,12 +328,10 @@ def backward(
     ``x`` may be a single input vector with scalar upstream, or a
     (B, fan_in) batch with a (B,) upstream; batch gradients are summed.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=params.weights[0].dtype)
     if x.ndim == 1:
         x = x[None, :]
         upstream = np.array([float(upstream)])
-    else:
-        upstream = np.asarray(upstream, dtype=np.float64)
     _, cache = forward_cached(params, x, negative_slope)
     return backward_from_cache(params, cache, upstream, negative_slope)
 
@@ -344,10 +362,10 @@ def sgd_step(
     return params
 
 
-def _all_finite(grads: GradientBundle) -> bool:
+def _all_finite(bundle: GradientBundle | MlpParams) -> bool:
     # one sum per array: NaN and inf entries propagate into it (a finite
-    # gradient whose sum overflows counts too; training has diverged then)
-    return all(math.isfinite(g.sum()) for g in (*grads.weights, *grads.biases))
+    # array whose sum overflows counts too; training has diverged then)
+    return all(math.isfinite(a.sum()) for a in (*bundle.weights, *bundle.biases))
 
 
 def train_loop(
@@ -365,7 +383,9 @@ def train_loop(
     ``val_accuracy_fn(params)``.  The snapshot with the best validation
     accuracy is kept (strict improvement, so ties keep the earliest);
     training stops after ``patience`` epochs without improvement or at
-    ``max_epochs``.
+    ``max_epochs``.  A non-finite loss or gradient, or parameters that are
+    non-finite after an epoch's last step, raise ``NonFiniteLossError``,
+    so no snapshot holds an overflowed weight.
     """
     rng = np.random.default_rng(as_seed_sequence(cfg.seed))
     history = TrainHistory()
@@ -391,6 +411,12 @@ def train_loop(
                 )
             sgd_step(params, grads, cfg.learning_rate, cfg.l1_lambda, l1_layer=0)
             loss_sum += loss * idx.size
+        # a finite gradient times the learning rate can still overflow
+        if not _all_finite(params):
+            raise NonFiniteLossError(
+                f"parameters became non-finite; try a smaller learning rate "
+                f"(currently {cfg.learning_rate})"
+            )
         history.train_loss.append(loss_sum / n_examples)
 
         acc = float(val_accuracy_fn(params))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rssdetect import benchmarks as bm
 from rssdetect.dataset import Label, PairSet
@@ -287,3 +288,36 @@ class TestKmc:
         model = bm.KmcModel(centroids=np.zeros((2, 3)), threshold=1.0)
         with pytest.raises(ValueError, match="feature length"):
             bm.decide_kmc(model, np.zeros(4), np.zeros(4))
+
+
+# both zeros and subnormals likely; |x| <= 1e100 keeps every squared
+# distance finite
+swap_floats = st.one_of(
+    st.floats(-1e100, 1e100),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e100, -1e100]),
+)
+
+
+@st.composite
+def swap_cases(draw):
+    m = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from([(m,), (draw(st.integers(1, 8)), m)]))
+    f = draw(hnp.arrays(np.float64, shape, elements=swap_floats))
+    fp = draw(hnp.arrays(np.float64, shape, elements=swap_floats))
+    centroids = draw(hnp.arrays(np.float64, (draw(st.integers(1, 5)), m), elements=swap_floats))
+    threshold = draw(st.floats(-1e3, 1e3))
+    return f, fp, centroids, threshold
+
+
+@given(case=swap_cases())
+def test_baseline_statistics_swap_bit_exact(case):
+    f, fp, centroids, threshold = case
+    models = (
+        bm.DbcModel(norm_order=1, threshold=threshold),
+        bm.DbcModel(norm_order=2, threshold=threshold),
+        bm.KmcModel(centroids=centroids, threshold=threshold),
+    )
+    for model in models:
+        a = np.asarray(model.statistic_batch(f, fp))
+        b = np.asarray(model.statistic_batch(fp, f))
+        assert a.tobytes() == b.tobytes(), model

@@ -364,6 +364,16 @@ def make_separable_corpus(l=14, e=6, m=4, seed=0) -> MeasurementSet:
     return MeasurementSet(values=signatures + noise, location_ids=np.arange(l))
 
 
+def test_float32_params_rejected():
+    model = make_model()
+    for part in ("weights", "biases"):
+        params = model.params.copy()
+        arrays = getattr(params, part)
+        arrays[-1] = arrays[-1].astype(np.float32)
+        with pytest.raises(ValueError, match="float64"):
+            det.DetectorModel(params, model.feature_mean, model.feature_std)
+
+
 class TestTrainDetector:
     def test_separable_corpus_reaches_perfect_validation(self):
         ms = make_separable_corpus()
@@ -392,3 +402,20 @@ class TestTrainDetector:
         model, history = det.train_detector(ms, split, 1250, 150, cfg, seed=8)
         assert model.n_features == 6
         assert history.n_epochs >= 1
+
+    def test_fitted_params_are_float64_and_float32_representable(self, tmp_path):
+        # the fit runs in float32 and upcasts its snapshot, exactly
+        ms = make_separable_corpus(seed=3)
+        split = split_locations(ms, 10, 0.8, seed=4)
+        cfg = TrainConfig(hidden_sizes=(8, 8, 8), max_epochs=3, patience=3, batch_size=32)
+        model, _ = det.train_detector(ms, split, 100, 40, cfg, seed=5)
+        arrays = (*model.params.weights, *model.params.biases)
+        assert all(a.dtype == np.float64 for a in arrays)
+        for a in arrays:
+            assert a.astype(np.float32).astype(np.float64).tobytes() == a.tobytes()
+        path = tmp_path / "dnnc.bin"
+        modelio.save_model(model, path)
+        loaded = modelio.load_model(path)
+        assert [a.tobytes() for a in (*loaded.params.weights, *loaded.params.biases)] == [
+            a.tobytes() for a in arrays
+        ]

@@ -368,3 +368,29 @@ def test_non_finite_gradient_aborts(bad, kind):
     cfg = TrainConfig(max_epochs=5, patience=5, batch_size=4, hidden_sizes=(3,))
     with pytest.raises(NonFiniteLossError, match="gradient"):
         neural.train_loop(params, 8, nan_grad, lambda p: 0.5, cfg)
+
+
+@pytest.mark.parametrize("dtype, big", [(np.float64, 1e308), (np.float32, 1e38)])
+def test_overflowing_step_aborts_before_validation(dtype, big):
+    # the gradient is finite, but learning_rate * gradient overflows in the step
+    def huge_grad(params, idx):
+        grads = GradientBundle(
+            weights=[np.zeros_like(w) for w in params.weights],
+            biases=[np.zeros_like(b) for b in params.biases],
+        )
+        grads.weights[0][0, 0] = big
+        return 0.5, grads
+
+    validated = []
+
+    def improving(p):
+        validated.append(p.weights[0][0, 0])
+        return 0.1 * len(validated)
+
+    params = neural.init_params([2, 3, 1], seed=8).astype(dtype)
+    cfg = TrainConfig(
+        max_epochs=5, patience=5, batch_size=4, learning_rate=10.0, l1_lambda=0.0, hidden_sizes=(3,)
+    )
+    with pytest.raises(NonFiniteLossError, match="parameters"), np.errstate(over="ignore"):
+        neural.train_loop(params, 8, huge_grad, improving, cfg)
+    assert validated == []

@@ -3,7 +3,8 @@
 The reference functions below are the network's forward, backward and
 SGD step as they were written before the workspace: every layer builds
 fresh arrays, and the leaky ReLU and its derivative use ``np.where``.
-The workspace kernels must reproduce them bit for bit.
+Like the kernels, they compute in the parameters' dtype.  The workspace
+kernels must reproduce them bit for bit.
 """
 
 import math
@@ -33,11 +34,11 @@ def leaky_ref(z, slope):
 
 
 def leaky_grad_ref(z, slope):
-    return np.where(z > 0, 1.0, slope)
+    return np.where(z > 0, 1.0, slope).astype(z.dtype)
 
 
 def forward_cached_ref(params, x, slope):
-    a = np.asarray(x, dtype=np.float64)
+    a = np.asarray(x, dtype=params.weights[0].dtype)
     pre = []
     acts = [a]
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
@@ -54,7 +55,7 @@ def backward_from_cache_ref(params, cache, upstream, slope):
     n = params.n_layers
     g_w = [None] * n
     g_b = [None] * n
-    delta = np.asarray(upstream, dtype=np.float64)[:, None]
+    delta = np.asarray(upstream, dtype=params.weights[0].dtype)[:, None]
     g_w[n - 1] = delta.T @ acts[-1]
     g_b[n - 1] = delta.sum(axis=0)
     for layer in range(n - 2, -1, -1):
@@ -86,7 +87,7 @@ def loss_from_stacked_ref(params, stacked, labels_h1, slope):
 
 
 def train_detector_ref(ms, split, k_train, k_val, cfg, seed, monkeypatch):
-    """``det.train_detector`` as written before the workspace."""
+    """``det.train_detector`` as written before the workspace, training in float32."""
     s_train, s_val, s_init, s_shuffle = np.random.SeedSequence(seed).spawn(4)
     train_pairs = ds.build_pair_set(ms, split.train_ids, k_train, seed=s_train)
     val_pairs = ds.build_pair_set(ms, split.val_ids, k_val, seed=s_val)
@@ -96,8 +97,11 @@ def train_detector_ref(ms, split, k_train, k_val, cfg, seed, monkeypatch):
     model = det.DetectorModel(params, mean, std, cfg.negative_slope)
     n_train = len(train_pairs)
     train_stack = det._stack_both_orders(model, train_pairs.first, train_pairs.second)
+    train_stack = train_stack.astype(np.float32)
     val_stack = det._stack_both_orders(model, val_pairs.first, val_pairs.second)
+    val_stack = val_stack.astype(np.float32)
     n_val = len(val_pairs)
+    params = params.astype(np.float32)
 
     def batch_grad(p, idx):
         stacked = np.concatenate([train_stack[idx], train_stack[idx + n_train]], axis=0)
@@ -110,7 +114,8 @@ def train_detector_ref(ms, split, k_train, k_val, cfg, seed, monkeypatch):
 
     monkeypatch.setattr(neural, "sgd_step", sgd_step_ref)
     loop_cfg = replace(cfg, seed=int(s_shuffle.generate_state(1)[0]))
-    return neural.train_loop(params, n_train, batch_grad, val_acc, loop_cfg)
+    best, history = neural.train_loop(params, n_train, batch_grad, val_acc, loop_cfg)
+    return best.astype(np.float64), history
 
 
 def bits(a) -> bytes:
@@ -257,3 +262,37 @@ def test_train_detector_matches_reference_fit(cfg, monkeypatch):
     ]
     assert repr(history.train_loss) == repr(want_history.train_loss)
     assert repr(history.val_accuracy) == repr(want_history.val_accuracy)
+
+
+# --- float32 parameters ---------------------------------------------------------
+
+
+def close32(got, want) -> bool:
+    """Agreement to float32 precision, relative to the float64 array's scale."""
+    return np.abs(got - want).max() <= 1e-5 * max(1.0, np.abs(want).max())
+
+
+def test_float32_params_run_in_float32():
+    rng = np.random.default_rng(7)
+    params64 = neural.init_params([6, 9, 7, 8, 1], seed=8)
+    params32 = params64.astype(np.float32)
+    x = rng.normal(size=(5, 6))  # float64 input: cast to the params' dtype
+    up = rng.normal(size=5)
+    out32, cache32 = neural.forward_cached(params32, x)
+    grads32 = neural.backward_from_cache(params32, cache32, up)
+    out64, cache64 = neural.forward_cached(params64, x)
+    grads64 = neural.backward_from_cache(params64, cache64, up)
+
+    ws = cache32[2]
+    buffers = (*ws.pre, *ws.acts, *ws.delta, ws.out, ws.factor, *grads32.weights, *grads32.biases)
+    assert {a.dtype for a in (out32, *buffers)} == {np.dtype(np.float32)}
+    assert all(a.dtype == np.float64 for a in (out64, *grads64.weights, *grads64.biases))
+    assert close32(out32, out64)
+    for got, want in zip((*grads32.weights, *grads32.biases), (*grads64.weights, *grads64.biases)):
+        assert close32(got, want)
+
+    plain = neural.forward(params32, x)
+    assert plain.dtype == np.float32
+    assert plain.tobytes() == out32.tobytes()
+    assert isinstance(neural.forward(params32, x[0]), float)
+
