@@ -78,7 +78,10 @@ def tune_threshold(distances, labels_h1) -> ThresholdFit:
 
     Candidates are midpoints between consecutive distinct sorted
     distances plus -inf/+inf sentinels, which cover every achievable
-    confusion split; ties break toward the smallest threshold.
+    confusion split; ties break toward the smallest threshold.  Where a
+    midpoint does not lie in [lower, upper) of its two values (it rounded
+    up to the upper one, overflowed to +-inf, or is the NaN of -inf + inf),
+    the lower value is the candidate instead.
     ``labels_h1`` is truthy for DIFF (H1) samples.
     """
     d = np.asarray(distances, dtype=np.float64)
@@ -91,7 +94,11 @@ def tune_threshold(distances, labels_h1) -> ThresholdFit:
     y_sorted = y[order]
 
     uniq = np.unique(d_sorted)
-    candidates = np.concatenate([[-np.inf], (uniq[:-1] + uniq[1:]) / 2.0, [np.inf]])
+    lo, hi = uniq[:-1], uniq[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mid = (lo + hi) / 2.0
+    mid = np.where((lo <= mid) & (mid < hi), mid, lo)
+    candidates = np.concatenate([[-np.inf], mid, [np.inf]])
 
     # With threshold t: correct = (# SAME with d <= t) + (# DIFF with d > t).
     cum_same = np.concatenate([[0], np.cumsum(~y_sorted)])
@@ -176,6 +183,67 @@ def centroid_distances(centroids: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.sqrt(((f[..., None, :] - centroids) ** 2).sum(axis=-1))
 
 
+def _row_keys(words: np.ndarray) -> np.ndarray:
+    """A 64-bit key per row of an (N, M) uint64 array: equal rows, equal keys.
+
+    Each word's high half is folded into its low half, because small
+    values such as integer dBm readings differ only in their high bits,
+    which a product cannot carry down.  The folded words are combined by
+    a wrapping dot product with odd multipliers taken from splitmix64, so
+    the multipliers have no small additive relations for permuted or
+    grid-valued rows to fall into.
+    """
+    k = np.arange(1, words.shape[1] + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    k = (k ^ (k >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    k = (k ^ (k >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    k = (k ^ (k >> np.uint64(31))) | np.uint64(1)
+    folded = words >> np.uint64(32)
+    folded ^= words
+    return folded @ k
+
+
+def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of an (N, M) float64 array under byte equality.
+
+    Returns ``(rows, inverse)`` with ``rows[inverse]`` byte-identical to
+    ``x``.  Rows are sorted by :func:`_row_keys`, so equal rows sit
+    together, and a group starts wherever a row's bytes differ from those
+    of the row before it.  A key collision can therefore split a group but
+    never join unequal rows.  -0.0 and +0.0 stay apart.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    words = x.view(np.uint64)
+    order = np.argsort(_row_keys(words))
+    ordered = words[order]
+    starts = np.ones(len(words), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(words), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return x[order[starts]], inverse
+
+
+def _centroid_space_distance(centroids: np.ndarray, f, f_prime) -> np.ndarray:
+    """KMC's distance ||d(f) - d(f')||_2, where d is :func:`centroid_distances`.
+
+    Takes two (M,) vectors or two (B, M) batches and returns a scalar or a
+    (B,) array.  Pairs are drawn with replacement from a corpus of a few
+    hundred vectors, so a batch repeats its rows: each distinct row of
+    ``[f; f']`` is mapped into centroid space once, and the maps are
+    gathered back per row.  Each output is the same arithmetic on the same
+    row as mapping every row, so the result is bit for bit the row-by-row
+    one.  A single pair is mapped directly, as grouping two rows costs
+    more than it saves.
+    """
+    if np.ndim(f) == 1:
+        rep_a = centroid_distances(centroids, f)
+        rep_b = centroid_distances(centroids, f_prime)
+    else:
+        rows, inverse = _distinct_rows(np.concatenate([f, f_prime]))
+        rep = centroid_distances(centroids, rows)[inverse]
+        rep_a, rep_b = rep[:len(f)], rep[len(f):]
+    return np.sqrt(((rep_a - rep_b) ** 2).sum(axis=-1))
+
+
 def train_kmc(
     ms, train_location_ids, pair_set: PairSet, kappa: int, seed, max_iter: int = 300
 ) -> KmcModel:
@@ -183,15 +251,15 @@ def train_kmc(
 
     Every estimate f^(j)(x_n) of every training location is clustered
     (not per-location means).  The threshold applies the DBC(l2) rule to
-    ||d(f) - d(f')||_2 where d(.) is the centroid-distance map.
+    ||d(f) - d(f')||_2 where d(.) is the centroid-distance map, computed
+    by :func:`_centroid_space_distance`, which maps each distinct training
+    vector once however many pairs it appears in.
     """
     rows = [ms.index_of(int(i)) for i in np.asarray(train_location_ids)]
     x = ms.values[rows].reshape(-1, ms.n_features)
     km = lloyd_kmeans(x, kappa, seed, max_iter=max_iter)
 
-    rep_a = centroid_distances(km.centroids, pair_set.first)
-    rep_b = centroid_distances(km.centroids, pair_set.second)
-    d = np.sqrt(((rep_a - rep_b) ** 2).sum(axis=1))
+    d = _centroid_space_distance(km.centroids, pair_set.first, pair_set.second)
     fit = tune_threshold(d, pair_set.labels)
     return KmcModel(centroids=km.centroids, threshold=fit.threshold)
 
@@ -213,17 +281,19 @@ def decide_dbc(model: DbcModel, f: np.ndarray, f_prime: np.ndarray) -> Decision:
 
 
 def kmc_statistic_batch(model: KmcModel, f: np.ndarray, f_prime: np.ndarray):
-    """Centroid-distance-space margin for (B, M) batches, or a float for one pair."""
+    """Centroid-distance-space margin for (B, M) batches, or a float for one pair.
+
+    The margin is ||d(f) - d(f')||_2 - threshold, with the distance from
+    :func:`_centroid_space_distance`, the one ``train_kmc`` tunes on.  The
+    input is checked first, so NaN, inf or mis-shaped input raises.
+    """
     f, f_prime = checked_pair(f, f_prime)
     if f.shape[-1] != model.centroids.shape[1]:
         raise ValueError(
             f"feature length {f.shape[-1]} does not match centroids "
             f"({model.centroids.shape[1]})"
         )
-    rep_a = centroid_distances(model.centroids, f)
-    rep_b = centroid_distances(model.centroids, f_prime)
-    d = np.sqrt(((rep_a - rep_b) ** 2).sum(axis=-1))
-    return d - model.threshold
+    return _centroid_space_distance(model.centroids, f, f_prime) - model.threshold
 
 
 def decide_kmc(model: KmcModel, f: np.ndarray, f_prime: np.ndarray) -> Decision:

@@ -279,28 +279,26 @@ def select_features(ms: MeasurementSet, channel_ids) -> MeasurementSet:
 # Measurement files are UTF-8 CSV: header `location_id,estimate_id,feat_0,...`,
 # one row per (location, estimate).  Features are written with 17 significant
 # digits so that save -> load round-trips float64 bit-exactly.
-_FLOAT_FMT = "{:.16e}"
+_FLOAT_FMT = "%.16e"
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 def save_measurements(ms: MeasurementSet, path, coords_path=None) -> None:
     m = ms.n_features
     header = "location_id,estimate_id," + ",".join(f"feat_{i}" for i in range(m))
+    row = ",".join(["%d,%d"] + [_FLOAT_FMT] * m)
+    locs = ms.location_ids.tolist()
     lines = [header]
-    for n in range(ms.n_locations):
-        loc = int(ms.location_ids[n])
-        for j in range(ms.n_estimates):
-            feats = ",".join(_FLOAT_FMT.format(v) for v in ms.values[n, j])
-            lines.append(f"{loc},{j},{feats}")
+    for n, estimates in enumerate(ms.values.tolist()):
+        lines.extend(row % (locs[n], j, *feats) for j, feats in enumerate(estimates))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     if coords_path is not None:
         if ms.coordinates is None:
             raise ValueError("measurement set has no coordinates to save")
+        crow = ",".join(["%d"] + [_FLOAT_FMT] * 3)
         clines = ["location_id,x,y,z"]
-        for n in range(ms.n_locations):
-            xyz = ",".join(_FLOAT_FMT.format(v) for v in ms.coordinates[n])
-            clines.append(f"{int(ms.location_ids[n])},{xyz}")
+        clines.extend(crow % (loc, *xyz) for loc, xyz in zip(locs, ms.coordinates.tolist()))
         with open(coords_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(clines) + "\n")
 

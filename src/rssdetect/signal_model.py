@@ -341,13 +341,19 @@ def _mean_power(samples: np.ndarray) -> np.ndarray:
     return np.mean(np.abs(samples) ** 2, axis=-1)
 
 
-def _rss_db(power: float, location_id: int, receiver_id: int) -> float:
-    if power == 0.0:
+def _rss_db(powers: np.ndarray, location_id: int, receiver_ids) -> list[float]:
+    """Each window's mean power in dBm; window i is on channel ``receiver_ids[i]``.
+
+    The conversion is ``linear_to_db``'s ``math.log10`` per value: numpy's
+    ``log10`` differs from it in the last bit on some inputs.
+    """
+    zero = np.flatnonzero(powers == 0.0)
+    if zero.size:
         raise DegeneratePowerError(
             f"all-zero sample window (location {location_id}, "
-            f"receiver {receiver_id}); RSS in dB is undefined"
+            f"receiver {receiver_ids[zero[0]]}); RSS in dB is undefined"
         )
-    return linear_to_db(power)
+    return [10.0 * math.log10(p) for p in powers.tolist()]
 
 
 def draw_sample_window(
@@ -385,8 +391,8 @@ def estimate_rss(window: SampleWindow) -> float:
     the true RSS as the window grows instead of drifting by
     10*log10(N_s).
     """
-    power = float(_mean_power(window.samples))
-    return _rss_db(power, window.location_id, window.receiver_id)
+    power = np.atleast_1d(_mean_power(window.samples))
+    return _rss_db(power, window.location_id, [window.receiver_id])[0]
 
 
 def _estimate_vectors(
@@ -418,9 +424,11 @@ def _estimate_vectors(
     p_rx = signal_dbm + drift[:, scenario.receiver_group]
     window_states = [s for i, s in enumerate(states) if i % (m + 1)]
 
-    amplitudes = np.array([math.sqrt(db_to_linear(p)) for p in p_rx.ravel().tolist()])
+    # db_to_linear's ``**`` per value: numpy's ``power`` differs from it in
+    # the last bit on some inputs
+    amplitudes = np.array([math.sqrt(10.0 ** (p / 10.0)) for p in p_rx.ravel().tolist()])
     powers = _mean_power(_sample_windows(cfg, amplitudes, window_states, n_samples))
-    values = [_rss_db(p, location_id, i % m) for i, p in enumerate(powers.tolist())]
+    values = _rss_db(powers, location_id, np.tile(np.arange(m), n_estimates))
     return np.array(values).reshape(n_estimates, m)
 
 

@@ -1,4 +1,6 @@
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,10 +30,16 @@ def rule_accuracy(distances, labels_h1, threshold) -> float:
     return float(np.mean((d > threshold) == y))
 
 
+def midpoint_or_lower(a: float, b: float) -> float:
+    """(a + b) / 2 for a < b, or a where that leaves [a, b) by rounding or overflow."""
+    mid = (a + b) / 2.0
+    return mid if a <= mid < b else a
+
+
 def exhaustive_threshold(distances, labels_h1) -> tuple[float, float]:
     """Accuracy of every candidate midpoint, scanned upward; the first best wins."""
     uniq = sorted(set(distances))
-    candidates = [-math.inf] + [(a + b) / 2.0 for a, b in zip(uniq, uniq[1:])] + [math.inf]
+    candidates = [-math.inf] + [midpoint_or_lower(a, b) for a, b in zip(uniq, uniq[1:])] + [math.inf]
     best_t, best_acc = None, -1.0
     for t in candidates:
         acc = sum((d > t) == y for d, y in zip(distances, labels_h1)) / len(distances)
@@ -40,8 +48,28 @@ def exhaustive_threshold(distances, labels_h1) -> tuple[float, float]:
     return best_t, best_acc
 
 
+def best_split_accuracy(distances, labels_h1) -> float:
+    """Best accuracy over every split of the sorted distinct distances into H0 | H1."""
+    uniq = sorted(set(distances))
+    best = 0.0
+    for k in range(len(uniq) + 1):
+        h0 = set(uniq[:k])
+        correct = sum((d not in h0) == y for d, y in zip(distances, labels_h1))
+        best = max(best, correct / len(distances))
+    return best
+
+
 # few distinct values, so ties and duplicate distances are common
 DISTANCE = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e6, 1e6))
+
+
+@st.composite
+def ulp_neighbours(draw):
+    """A value next to an anchor, a few ulps away: midpoints round or overflow."""
+    x = draw(st.sampled_from([0.0, 1.0, -1.0, 1e-300, 5e-324, 1e308, -1e308, 1.7976931348623157e308]))
+    for _ in range(draw(st.integers(0, 3))):
+        x = math.nextafter(x, draw(st.sampled_from([math.inf, -math.inf])))
+    return x
 
 
 def pair_set_from_arrays(first, second, k) -> PairSet:
@@ -99,6 +127,35 @@ class TestTuneThreshold:
         d = [s[0] for s in samples]
         y = [s[1] for s in samples]
         fit = bm.tune_threshold(d, y)
+        assert (fit.threshold, fit.accuracy) == exhaustive_threshold(d, y)
+
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [
+            (1.0 + 2.0**-52, 1.0 + 2.0**-51),  # the midpoint rounds up to the upper value
+            (1e308, 1.7e308),  # the midpoint overflows to inf
+            (-1.7e308, -1e308),  # the midpoint overflows to -inf
+            (-math.inf, math.inf),  # the midpoint is NaN
+        ],
+    )
+    def test_separable_split_between_adjacent_or_huge_values(self, lower, upper):
+        fit = bm.tune_threshold([lower, upper], [False, True])
+        assert fit == (lower, 1.0)
+        assert rule_accuracy([lower, upper], [False, True], fit.threshold) == 1.0
+
+    @given(
+        st.lists(
+            st.tuples(st.one_of(DISTANCE, ulp_neighbours()), st.booleans()), min_size=1, max_size=30
+        )
+    )
+    @example([(1.0, False), (1.0000000000000002, True)])
+    @example([(1e308, False), (1.7e308, True), (1.7e308, True)])
+    def test_reaches_the_best_split(self, samples):
+        d = [s[0] for s in samples]
+        y = [s[1] for s in samples]
+        fit = bm.tune_threshold(d, y)
+        assert fit.accuracy == best_split_accuracy(d, y)
+        assert rule_accuracy(d, y, fit.threshold) == fit.accuracy
         assert (fit.threshold, fit.accuracy) == exhaustive_threshold(d, y)
 
     def test_empty_rejected(self):
@@ -321,3 +378,103 @@ def test_baseline_statistics_swap_bit_exact(case):
         a = np.asarray(model.statistic_batch(f, fp))
         b = np.asarray(model.statistic_batch(fp, f))
         assert a.tobytes() == b.tobytes(), model
+
+
+def centroid_space_distance_rows(centroids, f, f_prime) -> np.ndarray:
+    """Reference: each pair's vectors mapped on their own, one row at a time."""
+    out = []
+    for a, b in zip(f, f_prime):
+        rep_a = np.sqrt(((a - centroids) ** 2).sum(axis=-1))
+        rep_b = np.sqrt(((b - centroids) ** 2).sum(axis=-1))
+        out.append(np.sqrt(((rep_a - rep_b) ** 2).sum()))
+    return np.array(out, dtype=np.float64)
+
+
+def centroid_space_distance_all_rows(centroids, f, f_prime) -> np.ndarray:
+    """Reference: every row of both batches mapped, as before rows were shared."""
+    rep_a = bm.centroid_distances(centroids, f)
+    rep_b = bm.centroid_distances(centroids, f_prime)
+    return np.sqrt(((rep_a - rep_b) ** 2).sum(axis=1))
+
+
+# zeros of both signs are likely; |x| <= 1e100 keeps every squared distance finite
+kmc_floats = st.one_of(st.floats(-1e100, 1e100), st.sampled_from([0.0, -0.0, 1.0, -1.0]))
+
+
+@st.composite
+def kmc_batches(draw):
+    """(centroids, f, f') with rows taken from a pool: few (duplicate-heavy) or all distinct."""
+    m = draw(st.integers(1, 20))
+    b = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        pool = draw(hnp.arrays(np.float64, (draw(st.integers(1, 4)), m), elements=kmc_floats))
+        idx = draw(hnp.arrays(np.intp, (2, b), elements=st.integers(0, len(pool) - 1)))
+    else:
+        pool = draw(hnp.arrays(np.float64, (2 * b, m), elements=kmc_floats))
+        pool[:, 0] = np.arange(2 * b)  # every row distinct
+        idx = np.arange(2 * b).reshape(2, b)
+    centroids = draw(hnp.arrays(np.float64, (draw(st.integers(1, 16)), m), elements=kmc_floats))
+    return centroids, pool[idx[0]], pool[idx[1]]
+
+
+# rows of signed zeros: equal under ==, distinct as bytes
+SIGNED_ZEROS = (
+    np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, 0.0]]),
+    np.array([[-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0]]),
+)
+
+
+class TestCentroidSpaceDistance:
+    @given(case=kmc_batches())
+    @example(case=(np.array([[1.0, 2.0]]), *SIGNED_ZEROS))
+    @example(case=(np.array([[0.0, 0.0], [3.0, -1.0]]), np.array([[0.0, -0.0]]), np.array([[-0.0, 0.0]])))
+    def test_bit_exact_against_row_by_row(self, case):
+        centroids, f, fp = case
+        got = bm._centroid_space_distance(centroids, f, fp)
+        assert got.tobytes() == centroid_space_distance_rows(centroids, f, fp).tobytes()
+        assert got.tobytes() == centroid_space_distance_all_rows(centroids, f, fp).tobytes()
+        for i in (0, len(f) - 1):  # a single pair, as one (M,) vector each
+            one = bm._centroid_space_distance(centroids, f[i], fp[i])
+            assert np.shape(one) == () and one.tobytes() == got[i].tobytes()
+
+    @given(case=kmc_batches())
+    @example(case=(None, *SIGNED_ZEROS))
+    def test_each_distinct_row_mapped_once(self, case):
+        _, f, fp = case
+        x = np.concatenate([f, fp])
+        rows, inverse = bm._distinct_rows(x)
+        assert rows[inverse].tobytes() == x.tobytes()
+        assert len(rows) == len({r.tobytes() for r in x})
+
+    @pytest.mark.parametrize(
+        "pool",
+        [
+            np.array(list(itertools.permutations(np.arange(-70.0, -63.0)))),  # integer dBm
+            np.array(list(itertools.product([0.0, -0.0, 1.0, -1.0, 0.5, 2.0], repeat=6))),
+        ],
+        ids=["permuted-integers", "small-grid"],
+    )
+    def test_structured_rows_grouped_fully(self, pool):
+        # rows that differ only in their high bits, or only by a permutation,
+        # must still get distinct keys, or each distinct row is mapped many times
+        x = np.concatenate([pool, pool[::-1]])
+        rows, inverse = bm._distinct_rows(x)
+        assert len(rows) == len(pool)
+        assert rows[inverse].tobytes() == x.tobytes()
+
+    @given(case=kmc_batches())
+    def test_colliding_keys_only_split_groups(self, case):
+        # every row gets the same key: equal rows may land in several groups,
+        # but unequal rows must never share one
+        centroids, f, fp = case
+        x = np.concatenate([f, fp])
+        with mock.patch.object(bm, "_row_keys", lambda words: np.zeros(len(words), np.uint64)):
+            rows, inverse = bm._distinct_rows(x)
+            got = bm._centroid_space_distance(centroids, f, fp)
+        assert rows[inverse].tobytes() == x.tobytes()
+        assert got.tobytes() == centroid_space_distance_rows(centroids, f, fp).tobytes()
+
+    def test_empty_batch(self):
+        centroids = np.ones((3, 2))
+        got = bm.kmc_statistic_batch(bm.KmcModel(centroids, 0.5), np.zeros((0, 2)), np.zeros((0, 2)))
+        assert got.shape == (0,)
