@@ -93,7 +93,11 @@ def tune_threshold(distances, labels_h1) -> ThresholdFit:
     d_sorted = d[order]
     y_sorted = y[order]
 
-    uniq = np.unique(d_sorted)
+    # runs of equal values in the sorted array, all NaNs one run (as in
+    # np.unique); uniq holds the first value of each run
+    isnan = np.isnan(d_sorted)
+    starts = np.flatnonzero((d_sorted[1:] != d_sorted[:-1]) & ~(isnan[1:] & isnan[:-1])) + 1
+    uniq = d_sorted[np.concatenate([[0], starts])]
     lo, hi = uniq[:-1], uniq[1:]
     with np.errstate(over="ignore", invalid="ignore"):
         mid = (lo + hi) / 2.0
@@ -101,9 +105,12 @@ def tune_threshold(distances, labels_h1) -> ThresholdFit:
     candidates = np.concatenate([[-np.inf], mid, [np.inf]])
 
     # With threshold t: correct = (# SAME with d <= t) + (# DIFF with d > t).
+    # A midpoint candidate lies in [lo, hi), so the values <= it end where
+    # the run of lo does.
     cum_same = np.concatenate([[0], np.cumsum(~y_sorted)])
     n_diff = int(np.count_nonzero(y))
-    below = np.searchsorted(d_sorted, candidates, side="right")
+    ends = np.searchsorted(d_sorted, [-np.inf, np.inf], side="right")
+    below = np.concatenate([ends[:1], starts, ends[1:]])
     correct = cum_same[below] + (n_diff - (below - cum_same[below]))
     best = int(np.argmax(correct))  # first max -> smallest threshold
     return ThresholdFit(
@@ -134,6 +141,37 @@ def _wcss(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
     return float(((x - centroids[labels]) ** 2).sum())
 
 
+def _update_centroids(x: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> None:
+    """Lloyd's update in place: each centroid becomes its members' mean.
+
+    The means are bit for bit ``x[labels == c].mean(axis=0)``.  For two
+    or more features that mean sums each column in row order and divides
+    by the count, and ``np.bincount`` with weights adds in the same
+    order, so one bincount per feature serves every cluster.  bincount
+    starts each sum from +0.0; a sum started from the first member
+    differs from that only on a column of all -0.0, so a cluster with
+    any ±0.0 sum takes its mean directly, however numpy starts it.  Two
+    cases keep the loop over clusters: a single feature, whose
+    contiguous column ``mean`` sums pairwise, and an empty cluster, whose
+    reseed reads the centroids updated before it.
+    """
+    k = centroids.shape[0]
+    counts = np.bincount(labels, minlength=k)
+    if x.shape[1] > 1 and counts.all():
+        sums = np.stack([np.bincount(labels, weights=col, minlength=k) for col in x.T], axis=1)
+        np.divide(sums, counts[:, None], out=centroids)
+        for c in np.flatnonzero((sums == 0.0).any(axis=1)):
+            centroids[c] = x[labels == c].mean(axis=0)
+        return
+    for c in range(k):
+        if counts[c] > 0:
+            centroids[c] = x[labels == c].mean(axis=0)
+        else:
+            # reseed: steal the globally worst-fit point
+            dist2 = ((x - centroids[labels]) ** 2).sum(axis=1)
+            centroids[c] = x[int(np.argmax(dist2))]
+
+
 def lloyd_kmeans(x: np.ndarray, k: int, seed, max_iter: int = 300) -> KMeansResult:
     """Lloyd's algorithm with seeded distinct-point init.
 
@@ -155,14 +193,7 @@ def lloyd_kmeans(x: np.ndarray, k: int, seed, max_iter: int = 300) -> KMeansResu
     history = [_wcss(x, centroids, labels)]
     converged = False
     for _ in range(max_iter):
-        for c in range(k):
-            members = x[labels == c]
-            if members.shape[0] > 0:
-                centroids[c] = members.mean(axis=0)
-            else:
-                # reseed: steal the globally worst-fit point
-                dist2 = ((x - centroids[labels]) ** 2).sum(axis=1)
-                centroids[c] = x[int(np.argmax(dist2))]
+        _update_centroids(x, labels, centroids)
         new_labels = _assign(x, centroids)
         history.append(_wcss(x, centroids, new_labels))
         if np.array_equal(new_labels, labels):

@@ -8,11 +8,20 @@ whose output streams are independent and collision-free for distinct
 paths.
 
 Where thousands of sibling streams are needed (one per synthesized
-sample window), :func:`pcg64_states` computes the PCG64 state that
+sample window), :func:`pcg64_words` computes the PCG64 state that
 ``PCG64(SeedSequence(entropy, spawn_key=key + tail))`` would start from,
 for a whole batch of key tails at once, without building a SeedSequence
-or a generator per stream.  It reproduces numpy's algorithms word for
-word; both are pinned by numpy's stream-compatibility policy (NEP 19).
+or a generator per stream, and :func:`pcg64_random` takes the first
+``Generator.random()`` draw of every stream of a batch.  Both reproduce
+numpy's algorithms word for word (SeedSequence's hash and mix, PCG64's
+seeding, LCG step and XSL-RR output); these are pinned by numpy's
+stream-compatibility policy (NEP 19).  The derivation changes no stream:
+the seed tree is numpy's own.
+
+The 128-bit PCG64 arithmetic runs on (hi, lo) pairs of uint64 arrays,
+with 32-bit limbs for the full 64 x 64-bit products.  Every operation
+keeps an array operand: uint64 arrays wrap silently, as the arithmetic
+needs, but an overflowing operation between numpy *scalars* warns.
 """
 
 from __future__ import annotations
@@ -22,13 +31,13 @@ import numpy as np
 SeedLike = "int | np.random.SeedSequence"
 
 _MASK32 = 0xFFFF_FFFF
-_MASK128 = (1 << 128) - 1
 # SeedSequence hash and mix constants (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
 _INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
-# PCG64's 128-bit LCG multiplier
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+# PCG64's 128-bit LCG multiplier, high and low word
+_PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341
+_LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
 
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:
@@ -63,17 +72,46 @@ def _uint32_words(value) -> list[int]:
     return [w for v in value for w in _uint32_words(v)]
 
 
-def pcg64_states(parent: np.random.SeedSequence, tails) -> list[tuple[int, int]]:
-    """PCG64 ``(state, inc)`` of a batch of descendants of ``parent``.
+def _wide_mul(a: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Full 128-bit products ``(hi, lo)`` of uint64 words ``a`` and a 64-bit constant.
+
+    Each factor is split into 32-bit limbs, so no partial product or
+    partial sum leaves 64 bits.
+    """
+    a0, a1 = a & _LOW32, a >> _SHIFT32
+    b0, b1 = np.uint64(b & _MASK32), np.uint64(b >> 32)
+    p00, p01, p10, p11 = a0 * b0, a0 * b1, a1 * b0, a1 * b1
+    mid = (p00 >> _SHIFT32) + (p01 & _LOW32) + (p10 & _LOW32)
+    lo = (mid << _SHIFT32) | (p00 & _LOW32)
+    hi = p11 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32)
+    return hi, lo
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    """``a + b`` mod 2**128 on (hi, lo) uint64 word arrays."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _lcg_step(s_hi, s_lo, i_hi, i_lo) -> tuple[np.ndarray, np.ndarray]:
+    """PCG64's LCG step ``state * mult + inc`` mod 2**128 on (hi, lo) word arrays."""
+    hi, lo = _wide_mul(s_lo, _PCG_MULT_LO)
+    hi = hi + s_hi * np.uint64(_PCG_MULT_LO) + s_lo * np.uint64(_PCG_MULT_HI)
+    return _add128(hi, lo, i_hi, i_lo)
+
+
+def pcg64_words(parent: np.random.SeedSequence, tails) -> np.ndarray:
+    """PCG64 states of a batch of descendants of ``parent``, as uint64 words.
 
     Row i of ``tails`` (shape (B, k), k >= 0) extends the parent's spawn
-    key: entry i is the ``state`` of ``np.random.PCG64(SeedSequence(
-    parent.entropy, spawn_key=parent.spawn_key + tuple(tails[i]),
-    pool_size=parent.pool_size))``.  Entropy assembly, mixing and
-    ``generate_state`` run as uint32 array operations over the batch;
-    only the final 128-bit LCG steps of PCG64's seeding run per child.
-    Every tail entry must fit one uint32 word; anything else raises
-    ``ValueError``.
+    key.  Row i of the (B, 4) result is ``(state_hi, state_lo, inc_hi,
+    inc_lo)`` of ``np.random.PCG64(SeedSequence(parent.entropy,
+    spawn_key=parent.spawn_key + tuple(tails[i]),
+    pool_size=parent.pool_size))``: its ``state`` is ``state_hi * 2**64 +
+    state_lo`` and its ``inc`` likewise.  Entropy assembly, mixing,
+    ``generate_state`` and PCG64's seeding all run as uint32 or uint64
+    array operations over the batch, with no per-child step.  Every tail
+    entry must fit one uint32 word; anything else raises ``ValueError``.
     """
     tails = np.asarray(tails)
     if tails.ndim != 2:
@@ -138,12 +176,29 @@ def pcg64_states(parent: np.random.SeedSequence, tails) -> list[tuple[int, int]]
     words = (pool[np.arange(8) % pool_size] ^ consts[:-1]) * consts[1:]
     words ^= words >> 16
     words = np.broadcast_to(words.astype(np.uint64), (8, batch))
-    seed_hi, seed_lo, seq_hi, seq_lo = (words[0::2] | (words[1::2] << np.uint64(32))).tolist()
+    return _pcg64_set_seed(*(words[0::2] | (words[1::2] << _SHIFT32)))
 
-    # PCG64 set_seed: inc = 2*seq + 1; two LCG steps from 0, adding the seed after the first
-    out = []
-    for s_hi, s_lo, q_hi, q_lo in zip(seed_hi, seed_lo, seq_hi, seq_lo):
-        inc = ((((q_hi << 64) | q_lo) << 1) | 1) & _MASK128
-        state = ((((s_hi << 64) | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
-        out.append((state, inc))
-    return out
+
+def _pcg64_set_seed(seed_hi, seed_lo, seq_hi, seq_lo) -> np.ndarray:
+    """PCG64's seeding from 128-bit ``seed`` and ``seq`` (hi, lo) word arrays:
+    ``inc = 2*seq + 1``, then two LCG steps from 0, adding the seed after
+    the first.  Returns (B, 4) words as :func:`pcg64_words` does."""
+    inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63))
+    inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
+    state = _lcg_step(*_add128(seed_hi, seed_lo, inc_hi, inc_lo), inc_hi, inc_lo)
+    return np.stack([*state, inc_hi, inc_lo], axis=1)
+
+
+def pcg64_random(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One ``Generator.random()`` draw from each row of (B, 4) PCG64 words.
+
+    Returns the words after the draw's LCG step and the draws:
+    ``(xsl_rr(stepped state) >> 11) * 2**-53``, the double numpy's PCG64
+    makes from its next 64-bit output.
+    """
+    hi, lo = _lcg_step(*words.T)
+    out = hi ^ lo
+    rot = hi >> np.uint64(58)
+    out = (out >> rot) | (out << ((np.uint64(64) - rot) & np.uint64(63)))
+    values = (out >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+    return np.stack([hi, lo, words[:, 2], words[:, 3]], axis=1), values

@@ -18,16 +18,22 @@ estimate j of location n draws from child n*E + j of
 the generator of channel rx's window, which draws the uniform tone
 phase, then N_s real and then N_s imaginary noise normals.  These are
 the streams ``spawn`` would hand out, but no SeedSequence or generator
-is built per window: ``seeding.pcg64_states`` derives the PCG64 state of
-every stream of a location in one vectorized pass, and one reused
-generator is set to each state in turn.  ``estimate_rss_vector`` on a
-SeedSequence reads the same children its ``spawn`` would give next,
-without spawning, so the caller's object is left untouched.
+is built per window: ``seeding.pcg64_words`` derives the PCG64 state of
+every stream of a block of locations in one vectorized pass,
+``seeding.pcg64_random`` takes every window's phase draw from those
+words, and one reused generator is set to each stepped state in turn
+for the window's normals.  ``estimate_rss_vector`` on a SeedSequence
+reads the same children its ``spawn`` would give next, without spawning,
+so the caller's object is left untouched.
 
-Synthesis runs one location at a time: the E*M windows of a location
-are drawn per generator, then toned, summed and averaged as one batch,
-so working memory is a few (E*M, N_s) arrays: about 3 MB peak for the
-default 52 x 64 x 16 campaign, growing with E*M*N_s but not with L.
+Synthesis runs in blocks of whole locations, as many as fit in
+``BLOCK_WINDOWS`` windows (E*M per location), or one location when E*M
+is larger.  A block's windows are drawn per generator, then toned,
+summed and averaged as one batch, so working memory is a few
+(BLOCK_WINDOWS, N_s) arrays, whatever L is: a tracemalloc peak of about
+1.6 MB for the default 52 x 64 x 16 campaign (0.43 MB of it the output),
+as when each location was its own batch, and about 1.2 MB at E = 8.
+The blocking changes no output bit.
 """
 
 from __future__ import annotations
@@ -38,7 +44,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegeneratePowerError
-from .seeding import SeedLike, as_seed_sequence, pcg64_states
+from .seeding import SeedLike, as_seed_sequence, pcg64_random, pcg64_words
+
+# Windows per synthesis block (whole locations, or one location when E*M
+# is larger).  Like detector.BLOCK_PAIRS, it bounds working memory and no
+# output depends on it.
+BLOCK_WINDOWS = 1024
 
 
 def db_to_linear(power_db: float) -> float:
@@ -290,40 +301,37 @@ def true_rss(scenario: Scenario, location_id: int) -> TrueRssVector:
     return TrueRssVector(location_id=location_id, values_db=values)
 
 
-def _generators(states):
-    """One reused ``Generator``, set in turn to each PCG64 ``(state, inc)``."""
+def _generators(words: np.ndarray):
+    """One reused ``Generator``, set in turn to each row of (B, 4) PCG64 words."""
     bit_generator = np.random.PCG64(0)
     inner = {"state": 0, "inc": 0}
     full = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
     rng = np.random.Generator(bit_generator)
-    for state, inc in states:
-        inner["state"], inner["inc"] = state, inc
+    for state_hi, state_lo, inc_hi, inc_lo in words.tolist():
+        inner["state"], inner["inc"] = (state_hi << 64) | state_lo, (inc_hi << 64) | inc_lo
         bit_generator.state = full
         yield rng
 
 
 def _sample_windows(
-    cfg: ScenarioConfig, amplitudes: np.ndarray, states, n_samples: int
+    cfg: ScenarioConfig, amplitudes: np.ndarray, words: np.ndarray, n_samples: int
 ) -> np.ndarray:
-    """Complex samples of ``len(states)`` windows, one window per row.
+    """Complex samples of ``len(words)`` windows, one window per row.
 
     Window i has tone amplitude ``amplitudes[i]`` and draws from a PCG64
-    started at ``states[i]``: the uniform phase, then 2*N_s noise normals,
-    N_s real parts followed by N_s imaginary parts.  Only those draws run
-    per window; the tone, noise scaling and sum are elementwise over all
-    rows, so a window's samples do not depend on which other windows
-    share the call.
+    started at row i of the (B, 4) ``words``: the uniform phase, then
+    2*N_s noise normals, N_s real parts followed by N_s imaginary parts.
+    The phases come from the words themselves (``seeding.pcg64_random``),
+    so only the normals are drawn per window; the tone, noise scaling and
+    sum are elementwise over all rows, so a window's samples do not depend
+    on which other windows share the call.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     noise_power = db_to_linear(cfg.noise_dbm)
-    phases = np.empty(len(states))
-    normals = np.empty((len(states), 2 * n_samples))
-    for i, rng in enumerate(_generators(states)):
-        # Generator.uniform(0, 2*pi) is 0.0 + 2*pi * random(), bit for bit
-        phases[i] = 2.0 * math.pi * rng.random()
-        if noise_power > 0.0:
-            rng.standard_normal(out=normals[i])
+    words, uniforms = pcg64_random(words)
+    # Generator.uniform(0, 2*pi) is 0.0 + 2*pi * random(), bit for bit
+    phases = 2.0 * math.pi * uniforms
 
     k = np.arange(n_samples)
     tone = amplitudes[:, None] * np.exp(
@@ -331,6 +339,9 @@ def _sample_windows(
     )
     noise = 0.0
     if noise_power > 0.0:
+        normals = np.empty((len(words), 2 * n_samples))
+        for row, rng in zip(normals, _generators(words)):
+            rng.standard_normal(out=row)
         real, imag = normals[:, :n_samples], normals[:, n_samples:]
         noise = math.sqrt(noise_power / 2.0) * (real + 1j * imag)
     return tone + noise
@@ -341,8 +352,9 @@ def _mean_power(samples: np.ndarray) -> np.ndarray:
     return np.mean(np.abs(samples) ** 2, axis=-1)
 
 
-def _rss_db(powers: np.ndarray, location_id: int, receiver_ids) -> list[float]:
-    """Each window's mean power in dBm; window i is on channel ``receiver_ids[i]``.
+def _rss_db(powers: np.ndarray, location_ids, receiver_ids) -> list[float]:
+    """Each window's mean power in dBm; window i is at location
+    ``location_ids[i]``, on channel ``receiver_ids[i]``.
 
     The conversion is ``linear_to_db``'s ``math.log10`` per value: numpy's
     ``log10`` differs from it in the last bit on some inputs.
@@ -350,7 +362,7 @@ def _rss_db(powers: np.ndarray, location_id: int, receiver_ids) -> list[float]:
     zero = np.flatnonzero(powers == 0.0)
     if zero.size:
         raise DegeneratePowerError(
-            f"all-zero sample window (location {location_id}, "
+            f"all-zero sample window (location {location_ids[zero[0]]}, "
             f"receiver {receiver_ids[zero[0]]}); RSS in dB is undefined"
         )
     return [10.0 * math.log10(p) for p in powers.tolist()]
@@ -374,8 +386,8 @@ def draw_sample_window(
     """
     p_rx = received_power_dbm(scenario, location_id, receiver_id) + extra_gain_db
     amplitude = np.array([math.sqrt(db_to_linear(p_rx))])
-    states = pcg64_states(as_seed_sequence(seed), np.empty((1, 0), dtype=np.int64))
-    samples = _sample_windows(scenario.config, amplitude, states, n_samples)
+    words = pcg64_words(as_seed_sequence(seed), np.empty((1, 0), dtype=np.int64))
+    samples = _sample_windows(scenario.config, amplitude, words, n_samples)
     return SampleWindow(
         location_id=location_id,
         receiver_id=receiver_id,
@@ -392,44 +404,51 @@ def estimate_rss(window: SampleWindow) -> float:
     10*log10(N_s).
     """
     power = np.atleast_1d(_mean_power(window.samples))
-    return _rss_db(power, window.location_id, [window.receiver_id])[0]
+    return _rss_db(power, [window.location_id], [window.receiver_id])[0]
 
 
 def _estimate_vectors(
     scenario: Scenario,
-    location_id: int,
+    location_ids: np.ndarray,
     n_samples: int,
     parent: np.random.SeedSequence,
     tails: np.ndarray,
 ) -> np.ndarray:
-    """RSS vector estimates at one location, one row per estimate, in dBm.
+    """RSS vector estimates at a block of locations, in dBm, shape (P, E, M).
 
-    Estimate j draws from the M+1 descendants of ``parent`` whose spawn
-    keys are ``parent.spawn_key`` followed by ``tails[j, 0]``, ...,
-    ``tails[j, M]`` (``tails`` has shape (E, M+1, k)): stream 0 draws the
-    per-group gain drift, stream rx+1 drives the window of channel rx.
-    All E*M windows are synthesized in one batch.
+    Estimate j of ``location_ids[p]`` draws from the M+1 descendants of
+    ``parent`` whose spawn keys are ``parent.spawn_key`` followed by
+    ``tails[p, j, 0]``, ..., ``tails[p, j, M]`` (``tails`` has shape
+    (P, E, M+1, k)): stream 0 draws the per-group gain drift, stream rx+1
+    drives the window of channel rx.  All P*E*M windows are synthesized
+    in one batch.
     """
     cfg = scenario.config
     m = scenario.n_channels
-    n_estimates = tails.shape[0]
-    signal_dbm = np.array([_signal_power_dbm(scenario, location_id, rx) for rx in range(m)])
+    n_locations, n_estimates = tails.shape[:2]
+    signal_dbm = np.array(
+        [[_signal_power_dbm(scenario, n, rx) for rx in range(m)] for n in location_ids]
+    )
     n_groups = int(scenario.receiver_group.max()) + 1
-    states = pcg64_states(parent, tails.reshape(-1, tails.shape[-1]))
+    words = pcg64_words(parent, tails.reshape(-1, tails.shape[-1])).reshape(-1, m + 1, 4)
     if cfg.gain_drift_std_db > 0.0:
-        drift_rngs = _generators(states[:: m + 1])
-        drift = np.array([rng.normal(0.0, cfg.gain_drift_std_db, size=n_groups) for rng in drift_rngs])
+        drift = np.array(
+            [rng.normal(0.0, cfg.gain_drift_std_db, size=n_groups) for rng in _generators(words[:, 0])]
+        ).reshape(n_locations, n_estimates, n_groups)
     else:
-        drift = np.zeros((n_estimates, n_groups))
-    p_rx = signal_dbm + drift[:, scenario.receiver_group]
-    window_states = [s for i, s in enumerate(states) if i % (m + 1)]
+        drift = np.zeros((n_locations, n_estimates, n_groups))
+    p_rx = signal_dbm[:, None, :] + drift[:, :, scenario.receiver_group]
 
     # db_to_linear's ``**`` per value: numpy's ``power`` differs from it in
     # the last bit on some inputs
     amplitudes = np.array([math.sqrt(10.0 ** (p / 10.0)) for p in p_rx.ravel().tolist()])
-    powers = _mean_power(_sample_windows(cfg, amplitudes, window_states, n_samples))
-    values = _rss_db(powers, location_id, np.tile(np.arange(m), n_estimates))
-    return np.array(values).reshape(n_estimates, m)
+    samples = _sample_windows(cfg, amplitudes, words[:, 1:].reshape(-1, 4), n_samples)
+    values = _rss_db(
+        _mean_power(samples),
+        np.repeat(location_ids, n_estimates * m),
+        np.tile(np.arange(m), n_locations * n_estimates),
+    )
+    return np.array(values).reshape(n_locations, n_estimates, m)
 
 
 def estimate_rss_vector(
@@ -447,7 +466,7 @@ def estimate_rss_vector(
     _check_ids(scenario, location_id)
     ss = as_seed_sequence(seed)
     tails = ss.n_children_spawned + np.arange(scenario.n_channels + 1)
-    return _estimate_vectors(scenario, location_id, n_samples, ss, tails[None, :, None])[0]
+    return _estimate_vectors(scenario, [location_id], n_samples, ss, tails[None, None, :, None])[0, 0]
 
 
 def simulate_measurement_set(
@@ -466,12 +485,15 @@ def simulate_measurement_set(
     if n_estimates < 2:
         raise ConfigError(f"n_estimates must be >= 2, got {n_estimates}")
     parent = np.random.SeedSequence(seed)
-    values = np.empty((scenario.n_locations, n_estimates, scenario.n_channels))
-    tails = np.empty((n_estimates, scenario.n_channels + 1, 2), dtype=np.int64)
-    tails[:, :, 1] = np.arange(scenario.n_channels + 1)
-    for n in range(scenario.n_locations):
-        tails[:, :, 0] = n * n_estimates + np.arange(n_estimates)[:, None]
-        values[n] = _estimate_vectors(scenario, n, n_samples, parent, tails)
+    n_locations, m = scenario.n_locations, scenario.n_channels
+    values = np.empty((n_locations, n_estimates, m))
+    per_block = max(1, BLOCK_WINDOWS // (n_estimates * m))
+    for start in range(0, n_locations, per_block):
+        ids = np.arange(start, min(start + per_block, n_locations))
+        tails = np.empty((ids.size, n_estimates, m + 1, 2), dtype=np.int64)
+        tails[..., 0] = (ids[:, None] * n_estimates + np.arange(n_estimates))[:, :, None]
+        tails[..., 1] = np.arange(m + 1)
+        values[start : start + ids.size] = _estimate_vectors(scenario, ids, n_samples, parent, tails)
     return MeasurementSet(
         values=values,
         location_ids=np.arange(scenario.n_locations, dtype=np.int64),

@@ -158,6 +158,22 @@ class TestTuneThreshold:
         assert rule_accuracy(d, y, fit.threshold) == fit.accuracy
         assert (fit.threshold, fit.accuracy) == exhaustive_threshold(d, y)
 
+    @pytest.mark.parametrize(
+        "d, y, want",
+        [
+            ([1.0, math.nan, math.nan, 2.0], [False, True, True, True], (1.5, 1.0)),
+            ([math.nan, math.nan], [False, True], (-math.inf, 0.5)),
+            ([-math.inf, math.nan, 3.0, -math.inf], [False, False, True, True], (-math.inf, 0.5)),
+            ([math.nan, 1.0, math.nan, math.inf], [True, False, False, True], (1.0, 0.75)),
+            ([-math.inf, -math.inf], [False, False], (-math.inf, 1.0)),
+            ([1.0, math.nan], [False, False], (1.0, 0.5)),
+        ],
+    )
+    def test_nan_and_infinite_distances(self, d, y, want):
+        # fits taken when the distinct values came from np.unique, which
+        # keeps one NaN, and the counts from searchsorted
+        assert bm.tune_threshold(d, y) == want
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             bm.tune_threshold([], [])
@@ -238,7 +254,107 @@ class TestDbc:
             )
 
 
+def update_centroids_ref(x, labels, centroids) -> int:
+    """Lloyd's update as one loop over clusters, in place; returns the number of reseeds."""
+    reseeds = 0
+    for c in range(centroids.shape[0]):
+        members = x[labels == c]
+        if members.shape[0] > 0:
+            centroids[c] = members.mean(axis=0)
+        else:
+            dist2 = ((x - centroids[labels]) ** 2).sum(axis=1)
+            centroids[c] = x[int(np.argmax(dist2))]
+            reseeds += 1
+    return reseeds
+
+
+def lloyd_kmeans_ref(x, k, seed, max_iter=300):
+    """``lloyd_kmeans`` with the per-cluster update loop; also returns the reseed count."""
+    uniq = np.unique(x, axis=0)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    centroids = uniq[rng.choice(uniq.shape[0], size=k, replace=False)].copy()
+    labels = bm._assign(x, centroids)
+    history = [bm._wcss(x, centroids, labels)]
+    reseeds = 0
+    for _ in range(max_iter):
+        reseeds += update_centroids_ref(x, labels, centroids)
+        new_labels = bm._assign(x, centroids)
+        history.append(bm._wcss(x, centroids, new_labels))
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    return centroids, labels, np.asarray(history), reseeds
+
+
+def empty_cluster_data():
+    rng = np.random.default_rng(2)
+    return np.concatenate(
+        [
+            rng.normal(0, 0.1, size=(30, 2)),
+            rng.normal(8, 0.1, size=(30, 2)),
+            rng.normal(100, 0.5, size=(2, 2)),
+        ]
+    )
+
+
+def lloyd_case(name):
+    rng = np.random.default_rng(11)
+    if name == "empty-cluster":
+        return empty_cluster_data(), 5, 45
+    if name == "blobs":
+        return rng.normal(size=(300, 16)) + rng.integers(0, 4, size=(300, 1)) * 2.0, 4, 3
+    if name == "negative-zero-columns":
+        x = rng.normal(size=(200, 4)) + rng.integers(0, 3, size=(200, 1)) * 3.0
+        x[:, 1] = -0.0
+        x[:100, 3] = -0.0  # all -0.0 in some clusters, mixed signs in others
+        x[100:, 3] = 0.0
+        return x, 3, 5
+    if name == "one-feature":
+        return rng.normal(size=(500, 1)) + rng.integers(0, 3, size=(500, 1)) * 4.0, 3, 7
+    return rng.integers(-3, 4, size=(400, 3)).astype(float), 6, 8  # integer grid
+
+
 class TestLloydKmeans:
+    @pytest.mark.parametrize(
+        "name", ["empty-cluster", "blobs", "negative-zero-columns", "one-feature", "grid"]
+    )
+    def test_matches_per_cluster_loop(self, name):
+        x, k, seed = lloyd_case(name)
+        res = bm.lloyd_kmeans(x, k, seed=seed)
+        centroids, labels, history, reseeds = lloyd_kmeans_ref(x, k, seed)
+        assert res.centroids.tobytes() == centroids.tobytes()
+        assert np.array_equal(res.labels, labels)
+        assert res.wcss_history.tobytes() == history.tobytes()
+        assert reseeds > 0 or name != "empty-cluster"
+
+    @given(
+        data=st.data(),
+        n=st.integers(1, 60),
+        m=st.integers(1, 4),
+        k=st.integers(1, 6),
+    )
+    def test_update_matches_per_cluster_loop(self, data, n, m, k):
+        values = st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+            st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True),
+        )
+        x = data.draw(hnp.arrays(np.float64, (n, m), elements=values))
+        labels = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))
+        centroids = data.draw(hnp.arrays(np.float64, (k, m), elements=values))
+        want = centroids.copy()
+        update_centroids_ref(x, labels, want)
+        bm._update_centroids(x, labels, centroids)
+        assert centroids.tobytes() == want.tobytes()
+
+    def test_update_all_negative_zero_column(self):
+        # bincount starts each sum from +0.0, whatever numpy's mean starts from
+        x = np.array([[-0.0, 1.0], [-0.0, 2.0], [3.0, -0.0], [4.0, -0.0], [5.0, -0.0]])
+        labels = np.array([0, 0, 1, 1, 1])
+        centroids, want = np.ones((2, 2)), np.ones((2, 2))
+        update_centroids_ref(x, labels, want)
+        bm._update_centroids(x, labels, centroids)
+        assert centroids.tobytes() == want.tobytes()
+
     def test_two_blobs_recover_group_means(self):
         rng = np.random.default_rng(5)
         a = rng.normal(0.0, 0.01, size=(40, 3))
@@ -262,15 +378,7 @@ class TestLloydKmeans:
 
     def test_empty_cluster_reseeds_and_stays_monotone(self):
         # seeds chosen (by search) so that an update empties a cluster
-        rng = np.random.default_rng(2)
-        x = np.concatenate(
-            [
-                rng.normal(0, 0.1, size=(30, 2)),
-                rng.normal(8, 0.1, size=(30, 2)),
-                rng.normal(100, 0.5, size=(2, 2)),
-            ]
-        )
-        res = bm.lloyd_kmeans(x, 5, seed=45)
+        res = bm.lloyd_kmeans(empty_cluster_data(), 5, seed=45)
         assert np.all(np.diff(res.wcss_history) <= 1e-9)
         assert res.converged
         assert np.unique(res.labels).size == 5

@@ -353,6 +353,76 @@ class TestCampaignBits:
             "a59c9045900dda791ee41c4d81ab40d231257e9b7a9b358493dd5e6b34d8c1fd"
         )
 
+    def test_pinned_benchmark_shape_digest(self):
+        # SHA-256 of the default 52 x 8 x 16 campaign, taken before
+        # synthesis ran in blocks of several locations (numpy 2.4, x86-64)
+        sc = sm.generate_scenario(sm.ScenarioConfig(), seed=0)
+        ms = sm.simulate_measurement_set(sc, n_estimates=8, n_samples=16, seed=1)
+        assert ms.values.shape == (52, 8, 16)
+        assert hashlib.sha256(ms.values.tobytes()).hexdigest() == (
+            "cf2c335faf2d8aaca0b183739888c7df9a9022ff9c418cc598c9ba0d10478180"
+        )
+
+    @pytest.mark.parametrize(
+        "n_locations, n_estimates",
+        [(23, 3), (2, sm.BLOCK_WINDOWS // 16 + 1)],
+        ids=["partial-last-block", "location-above-block"],
+    )
+    def test_blocks_match_window_by_window_replay(self, n_locations, n_estimates):
+        # 16 channels: 21 locations per block and a last block of 2, or
+        # more than BLOCK_WINDOWS windows in each one-location block
+        sc = sm.generate_scenario(
+            sm.ScenarioConfig(n_locations=n_locations, gain_drift_std_db=1.0), seed=4
+        )
+        assert sc.n_channels == 16
+        got = sm.simulate_measurement_set(sc, n_estimates, n_samples=4, seed=9)
+        want = replay_measurement_values(sc, n_estimates, 4, seed=9)
+        assert got.values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block_windows", [1, 17, 48, 10**6])
+    def test_block_size_does_not_change_values(self, monkeypatch, block_windows):
+        sc = sm.generate_scenario(sm.ScenarioConfig(n_locations=7, gain_drift_std_db=2.0), seed=5)
+        want = sm.simulate_measurement_set(sc, n_estimates=3, n_samples=8, seed=2).values
+        monkeypatch.setattr(sm, "BLOCK_WINDOWS", block_windows)
+        got = sm.simulate_measurement_set(sc, n_estimates=3, n_samples=8, seed=2).values
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_estimates", [3, 21, 22, 100])
+    def test_blocks_hold_whole_locations_up_to_the_bound(self, monkeypatch, n_estimates):
+        sc = sm.generate_scenario(sm.ScenarioConfig(n_locations=9), seed=5)
+        blocks = []
+        block = sm._estimate_vectors
+
+        def spy(scenario, location_ids, *args):
+            blocks.append(list(location_ids))
+            return block(scenario, location_ids, *args)
+
+        monkeypatch.setattr(sm, "_estimate_vectors", spy)
+        sm.simulate_measurement_set(sc, n_estimates=n_estimates, n_samples=2, seed=2)
+        per_block = max(1, sm.BLOCK_WINDOWS // (n_estimates * 16))
+        assert sum(blocks, []) == list(range(9))
+        assert [len(b) for b in blocks[:-1]] == [per_block] * (len(blocks) - 1)
+        assert len(blocks[-1]) * n_estimates * 16 <= max(sm.BLOCK_WINDOWS, n_estimates * 16)
+
+    def test_zero_window_named_inside_a_block(self):
+        # six locations of 2 x 3 windows share one block; the first
+        # all-zero window, in (location, estimate, receiver) order, is named
+        sc = make_plain_scenario(noise_dbm=-math.inf, receivers=((1.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 3.0)))
+        shadowing = np.zeros((6, 3))
+        shadowing[4, 2] = shadowing[5, 0] = -math.inf
+        rng = np.random.default_rng(0)
+        sc = sm.Scenario(
+            config=sc.config,
+            locations=rng.uniform(5.0, 6.0, size=(6, 3)),
+            receivers=sc.receivers,
+            shadowing_db=shadowing,
+            receiver_group=sc.receiver_group,
+            seed=0,
+        )
+        assert 6 * 2 * 3 <= sm.BLOCK_WINDOWS
+        with pytest.raises(DegeneratePowerError, match=r"location 4, receiver 2\)"):
+            sm.simulate_measurement_set(sc, n_estimates=2, n_samples=8, seed=1)
+
     def test_all_zero_windows_raise(self):
         sc = make_plain_scenario(tx_dbm=-math.inf, noise_dbm=-math.inf)
         with pytest.raises(DegeneratePowerError, match="all-zero"):
