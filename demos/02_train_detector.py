@@ -12,7 +12,6 @@ from rssdetect import (
     generate_scenario,
     simulate_measurement_set,
     split_locations,
-    statistic,
     train_detector,
 )
 
@@ -34,13 +33,20 @@ model, history = train_detector(
 print(f"trained {history.n_epochs} epochs; best validation accuracy "
       f"{max(history.val_accuracy):.3f} at epoch {history.best_epoch()}")
 
-# score pairs of held-out estimates
+# score pairs of held-out estimates: pair i is row i of the pair set's arrays,
+# the K SAME pairs first, then the K DIFF pairs
 test_pairs = build_pair_set(corpus, split.test_ids, k=1000, seed=5)
-for p in list(test_pairs)[:6]:
-    d = decide(model, p.first, p.second)
-    print(f"  label={p.label.name:4s} -> {d.hypothesis.value} "
+k = test_pairs.k_per_class
+for i in (0, 1, 2, k, k + 1, k + 2):
+    d = decide(model, test_pairs.first[i], test_pairs.second[i])
+    label = "DIFF" if test_pairs.labels[i] else "SAME"
+    print(f"  label={label:4s} -> {d.hypothesis.value} "
           f"(statistic {d.statistic:+.2f}, posterior {d.posterior:.3f})")
+
+# the whole test set in one call: one statistic per pair, H1 where it is > 0
+g = model.statistic_batch(test_pairs.first, test_pairs.second)
+print(f"test accuracy over {len(test_pairs)} pairs: {((g > 0) == test_pairs.labels).mean():.3f}")
 
 # the statistic is symmetric by construction
 f, fp = corpus.values[0, 0], corpus.values[1, 0]
-print("\nswap symmetry:", statistic(model, f, fp), "==", statistic(model, fp, f))
+print("\nswap symmetry:", model.statistic_batch(f, fp), "==", model.statistic_batch(fp, f))

@@ -19,7 +19,6 @@ from .benchmarks import (
 )
 from .dataset import (
     Label,
-    LabeledPair,
     LocationSplit,
     MeasurementSet,
     PairSet,
@@ -36,12 +35,11 @@ from .detector import (
     decide,
     fixed_first_layer,
     pair_loss,
-    statistic,
     train_detector,
 )
 from .errors import ConfigError, DataFormatError, DegeneratePowerError, NonFiniteLossError
 from .modelio import load_model, save_model
-from .neural import MlpParams, TrainConfig, init_params, forward, backward, sgd_step, train_loop
+from .neural import MlpParams, TrainConfig, init_params, forward, sgd_step, train_loop
 from .seeding import derive_seed
 from .signal_model import (
     SampleWindow,

@@ -118,16 +118,18 @@ def tune_threshold(distances, labels_h1) -> ThresholdFit:
     )
 
 
-def pair_distances(pair_set: PairSet, norm_order: int) -> np.ndarray:
-    diff = pair_set.first - pair_set.second
+def _dbc_distance(norm_order: int, f, f_prime):
+    """||f - f'||_q of two (M,) vectors or two (B, M) batches, after :func:`checked_pair`."""
+    f, f_prime = checked_pair(f, f_prime)
+    diff = f - f_prime
     if norm_order == 1:
-        return np.abs(diff).sum(axis=1)
-    return np.sqrt((diff**2).sum(axis=1))
+        return np.abs(diff).sum(axis=-1)
+    return np.sqrt((diff**2).sum(axis=-1))
 
 
 def train_dbc(pair_set: PairSet, norm_order: int) -> DbcModel:
     """Fit the distance-based classifier on labeled training pairs."""
-    fit = tune_threshold(pair_distances(pair_set, norm_order), pair_set.labels)
+    fit = tune_threshold(_dbc_distance(norm_order, pair_set.first, pair_set.second), pair_set.labels)
     return DbcModel(norm_order=norm_order, threshold=fit.threshold)
 
 
@@ -297,13 +299,7 @@ def train_kmc(
 
 def dbc_statistic_batch(model: DbcModel, f: np.ndarray, f_prime: np.ndarray):
     """Margin ||f - f'||_q - threshold for (B, M) batches, or a float for one pair."""
-    f, f_prime = checked_pair(f, f_prime)
-    diff = f - f_prime
-    if model.norm_order == 1:
-        d = np.abs(diff).sum(axis=-1)
-    else:
-        d = np.sqrt((diff**2).sum(axis=-1))
-    return d - model.threshold
+    return _dbc_distance(model.norm_order, f, f_prime) - model.threshold
 
 
 def decide_dbc(model: DbcModel, f: np.ndarray, f_prime: np.ndarray) -> Decision:

@@ -26,12 +26,12 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from . import benchmarks as bm
-from . import detector as det
 from . import evaluation as ev
+from . import invariants as inv
 from . import neural
 from . import signal_model as sm
-from .dataset import build_pair_set, load_measurements, save_measurements, split_locations
+from .dataset import MeasurementSet, build_pair_set, load_measurements
+from .dataset import save_measurements, split_locations
 from .errors import ConfigError
 from .modelio import decide_any, load_model, save_model
 from .seeding import derive_seed
@@ -222,116 +222,35 @@ def _cmd_sweep(args, which: str) -> int:
 
 
 def _cmd_check(args) -> int:
-    failures = 0
-
-    def report(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        line = f"{'PASS' if ok else 'FAIL'} {name}"
-        if detail:
-            line += f" ({detail})"
-        print(line)
-        if not ok:
-            failures += 1
-
+    # every check draws its instances from one stream, in this order; KMC
+    # draws from its own, so the other checks see the same draws
     rng = np.random.default_rng(args.seed)
-
-    # commutativity of the symmetrized statistic and all decision rules;
-    # KMC draws from its own stream, so the other checks see the same draws
     kmc_rng = np.random.default_rng(derive_seed(args.seed, 1))
-    worst = 0.0
-    swap_ok = True
-    for _ in range(100):
-        m = int(rng.integers(2, 6))
-        params = neural.init_params([3 * m, 16, 16, 16, 1], seed=int(rng.integers(2**31)))
-        model = det.DetectorModel(
-            params=params,
-            feature_mean=rng.normal(size=m),
-            feature_std=np.abs(rng.normal(size=m)) + 0.5,
-        )
-        f, fp = rng.normal(size=m), rng.normal(size=m)
-        g1, g2 = det.statistic(model, f, fp), det.statistic(model, fp, f)
-        worst = max(worst, abs(g1 - g2) / (1.0 + abs(g1)))
-        swap_ok &= det.decide(model, f, fp).hypothesis == det.decide(model, fp, f).hypothesis
-        dbc = bm.DbcModel(norm_order=int(rng.integers(1, 3)), threshold=float(rng.normal()))
-        swap_ok &= bm.decide_dbc(dbc, f, fp).hypothesis == bm.decide_dbc(dbc, fp, f).hypothesis
-        kmc = bm.KmcModel(
-            centroids=kmc_rng.normal(size=(int(kmc_rng.integers(1, 5)), m)),
-            threshold=float(kmc_rng.normal()),
-        )
-        swap_ok &= kmc.statistic_batch(f, fp) == kmc.statistic_batch(fp, f)
-    report("commutativity", worst <= 1e-9 and swap_ok, f"worst rel asymmetry {worst:.2e}")
-
-    # gradient check on the symmetrized pair loss
-    from .dataset import MeasurementSet
-
-    vals = rng.normal(0, 5, size=(6, 4, 3))
-    ms = MeasurementSet(values=vals, location_ids=np.arange(6))
+    results = {}
+    results["commutativity"] = inv.commutativity(
+        rng, kmc_rng, 100, features=(2, 6), widths=(16,), std_floor=0.5,
+        threshold_mean=0.0, max_centroids=4,
+    )
+    ms = MeasurementSet(values=rng.normal(0, 5, size=(6, 4, 3)), location_ids=np.arange(6))
     pairs = build_pair_set(ms, np.arange(6), 8, seed=args.seed)
-    params = neural.init_params([9, 8, 8, 8, 1], seed=args.seed)
-    model = det.DetectorModel(params=params, feature_mean=np.zeros(3), feature_std=np.ones(3))
-    _, grads = det.pair_loss_grad(model, pairs)
-    bad = 0
-    for _ in range(25):
-        layer = int(rng.integers(0, 4))
-        w = params.weights[layer]
-        i, j = int(rng.integers(w.shape[0])), int(rng.integers(w.shape[1]))
-        orig = w[i, j]
-        w[i, j] = orig + 1e-5
-        up = det.pair_loss(model, pairs)
-        w[i, j] = orig - 1e-5
-        down = det.pair_loss(model, pairs)
-        w[i, j] = orig
-        fd = (up - down) / 2e-5
-        an = grads.weights[layer][i, j]
-        if abs(fd - an) > 1e-4 * max(1.0, abs(fd)):
-            bad += 1
-    report("gradient-check", bad == 0, f"{bad} bad coordinates of 25")
-
-    # loss anchor at zero parameters
-    zero = neural.MlpParams(
-        weights=[np.zeros_like(w) for w in params.weights],
-        biases=[np.zeros_like(b) for b in params.biases],
+    results["gradient-check"] = inv.gradient_check(pairs, (8, 8, 8), args.seed, rng, 25, tol=1e-4)
+    results["loss-anchor"] = inv.loss_anchor(pairs, (8, 8, 8), tol=1e-12)
+    sets = ((rng.normal(5, 2, size=120), rng.random(120) < 0.5) for _ in range(10))
+    results["threshold-tuning"] = inv.threshold_tuning(sets)
+    corpora = (
+        (rng.normal(size=(80, 3)) + rng.integers(0, 3, size=(80, 1)) * 4.0, 4, int(rng.integers(2**31)))
+        for _ in range(10)
     )
-    zmodel = det.DetectorModel(params=zero, feature_mean=np.zeros(3), feature_std=np.ones(3))
-    anchor = abs(det.pair_loss(zmodel, pairs) - np.log(2.0))
-    report("loss-anchor", anchor < 1e-12, f"|loss - log 2| = {anchor:.1e}")
-
-    # threshold tuning vs dense grid
-    tune_ok = True
-    for _ in range(10):
-        d = rng.normal(5, 2, size=120)
-        y = rng.random(120) < 0.5
-        fit = bm.tune_threshold(d, y)
-        grid = np.linspace(d.min() - 1, d.max() + 1, 10_000)
-        accs = [np.mean(((d > t) == y)) for t in grid]
-        tune_ok &= fit.accuracy >= max(accs) - 1e-12
-    report("threshold-tuning", tune_ok)
-
-    # k-means monotonicity and fixpoint
-    km_ok = True
-    for _ in range(10):
-        x = rng.normal(size=(80, 3)) + rng.integers(0, 3, size=(80, 1)) * 4.0
-        res = bm.lloyd_kmeans(x, 4, seed=int(rng.integers(2**31)))
-        km_ok &= bool(np.all(np.diff(res.wcss_history) <= 1e-9)) and res.converged
-    report("kmeans-monotone", km_ok)
-
-    # estimator consistency: longer windows estimate better
-    cfg = sm.ScenarioConfig(n_locations=2, shadowing_std_db=3.0, noise_dbm=-75.0)
-    sc = sm.generate_scenario(cfg, seed=args.seed)
-    truth = sm.true_rss(sc, 0).values_db
-    err = {}
-    for n_s in (16, 256):
-        errs = [
-            np.abs(sm.estimate_rss_vector(sc, 0, n_s, seed=derive_seed(args.seed, n_s, r)) - truth).mean()
-            for r in range(20)
-        ]
-        err[n_s] = float(np.mean(errs))
-    report(
-        "estimator-consistency",
-        err[256] < err[16],
-        f"mean |err| {err[16]:.3f} dB @16 vs {err[256]:.3f} dB @256",
+    results["kmeans-monotone"] = inv.kmeans_monotone(corpora, wcss_tol=1e-9)
+    config = sm.ScenarioConfig(n_locations=2, shadowing_std_db=3.0, noise_dbm=-75.0)
+    scenario = sm.generate_scenario(config, seed=args.seed)
+    results["estimator-consistency"] = inv.estimator_consistency(
+        scenario, (args.seed,), short=16, long=256, repeats=20
     )
 
+    for name, (ok, detail) in results.items():
+        print(f"{'PASS' if ok else 'FAIL'} {name}" + (f" ({detail})" if detail else ""))
+    failures = sum(not ok for ok, _ in results.values())
     print("all checks passed" if failures == 0 else f"{failures} check(s) failed")
     return 0 if failures == 0 else 1
 

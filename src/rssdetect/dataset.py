@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -78,22 +77,10 @@ class MeasurementSet:
 
 
 @dataclass(frozen=True)
-class LabeledPair:
-    first: np.ndarray  # (M,)
-    second: np.ndarray  # (M,)
-    label: Label
-    location_a: int
-    location_b: int
-    estimate_a: int
-    estimate_b: int
-
-
-@dataclass(frozen=True)
 class PairSet:
     """Balanced pair collection: exactly K SAME followed by K DIFF pairs.
 
-    Stored columnar for vectorized training/evaluation; iterate to get
-    :class:`LabeledPair` views.
+    Stored columnar for vectorized training and evaluation: pair i is row i of every array.
     """
 
     first: np.ndarray  # (2K, M)
@@ -122,18 +109,6 @@ class PairSet:
 
     def __len__(self) -> int:
         return self.first.shape[0]
-
-    def __iter__(self) -> Iterator[LabeledPair]:
-        for i in range(len(self)):
-            yield LabeledPair(
-                first=self.first[i],
-                second=self.second[i],
-                label=Label(int(self.label_codes[i])),
-                location_a=int(self.location_a[i]),
-                location_b=int(self.location_b[i]),
-                estimate_a=int(self.estimate_a[i]),
-                estimate_b=int(self.estimate_b[i]),
-            )
 
     @property
     def labels(self) -> np.ndarray:

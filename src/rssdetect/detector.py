@@ -13,11 +13,11 @@ standardized with statistics frozen from the training pairs; that
 transform is affine and invertible, so it changes nothing about the
 hypothesis test, only the conditioning of SGD.
 
-Evaluation (:func:`statistic_batch`, and through it :func:`statistic`
-and :func:`decide`) runs both argument orders of a pair in one forward
-pass.  Each pair is first put in canonical order: the lexicographically
-smaller standardized vector ``lo`` goes first (signed zeros are
-normalized, so equal vectors are equal bytes).  The rows
+Evaluation (:func:`statistic_batch`, and through it :func:`decide`)
+runs both argument orders of a pair in one forward pass.  Each pair is
+first put in canonical order: the lexicographically smaller standardized
+vector ``lo`` goes first (signed zeros are normalized, so equal vectors
+are equal bytes).  The rows
 ``fixed_first_layer(lo, hi)`` and ``fixed_first_layer(hi, lo)`` of up to
 ``BLOCK_PAIRS`` pairs are stacked into one batch, so a single decision
 reads each weight matrix once, as a 2-row forward.  The stacked bytes of
@@ -181,12 +181,15 @@ def statistic_batch(model: DetectorModel, f: np.ndarray, f_prime: np.ndarray):
 
     Each block of up to ``BLOCK_PAIRS`` canonically ordered pairs is one
     forward pass over both argument orders (see the module docstring).
-    Raises ``ValueError`` on non-finite input and on a non-finite
-    statistic (for example from overflowed weights).
+    Raises ``ValueError`` on non-finite input, on a feature count other
+    than the model's, and on a non-finite statistic (for example from
+    overflowed weights).
     """
     f, f_prime = checked_pair(f, f_prime)
     if f.ndim not in (1, 2):
         raise ValueError(f"expected (M,) vectors or (B, M) batches, got shape {f.shape}")
+    if f.shape[-1] != model.n_features:
+        raise ValueError(f"feature length {f.shape[-1]} does not match the model's {model.n_features}")
     single = f.ndim == 1
     # + 0.0 turns -0.0 into +0.0, so vectors that compare equal are equal bytes
     zf = _standardize(model, np.atleast_2d(f)) + 0.0
@@ -206,14 +209,9 @@ def statistic_batch(model: DetectorModel, f: np.ndarray, f_prime: np.ndarray):
     return float(g[0]) if single else g
 
 
-def statistic(model: DetectorModel, f: np.ndarray, f_prime: np.ndarray) -> float:
-    """Symmetrized detection statistic g(f, f') = (g~(f,f') + g~(f',f)) / 2."""
-    return float(statistic_batch(model, f, f_prime))
-
-
 def decide(model: DetectorModel, f: np.ndarray, f_prime: np.ndarray) -> Decision:
     """Threshold-0 decision; an exact tie goes to H0."""
-    return Decision(statistic(model, f, f_prime))
+    return Decision(float(statistic_batch(model, f, f_prime)))
 
 
 def pair_loss(model: DetectorModel, pair_set: PairSet) -> float:
@@ -264,7 +262,7 @@ def _stack_both_orders(model: DetectorModel, first: np.ndarray, second: np.ndarr
 
 
 def pair_loss_grad(model: DetectorModel, pair_set: PairSet) -> tuple[float, GradientBundle]:
-    """Loss and gradient over a whole pair set (used by tests and training)."""
+    """Loss and gradient over a whole pair set, as one [forward; swapped] batch."""
     stacked = _stack_both_orders(model, pair_set.first, pair_set.second)
     return _loss_from_stacked(model.params, stacked, pair_set.labels, model.negative_slope)
 

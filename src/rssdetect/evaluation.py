@@ -33,8 +33,8 @@ import numpy as np
 from . import benchmarks as bm
 from . import detector as det
 from .dataset import LocationSplit, MeasurementSet, PairSet
-from .dataset import build_pair_set, load_measurements, select_features, split_locations
-from .errors import ConfigError
+from .dataset import _read_lines, build_pair_set, load_measurements, select_features, split_locations
+from .errors import ConfigError, DataFormatError
 from .neural import TrainConfig, TrainHistory
 from .seeding import derive_seed
 from .signal_model import ScenarioConfig, generate_scenario, simulate_measurement_set
@@ -288,39 +288,39 @@ def emit_report(report: EvalReport, path, raw_path=None) -> None:
             fh.write("\n".join(rlines) + "\n")
 
 
+def _parse_rows(path, header: str, parse) -> list:
+    """``parse(*cells)`` of each data row; a wrong header or cell count, a
+    ``ValueError`` from ``parse`` or non-UTF-8 bytes raise ``DataFormatError``."""
+    lines = [ln for ln in _read_lines(path) if ln.strip()]
+    if not lines or lines[0] != header:
+        raise DataFormatError(f"{path}: bad header, expected {header!r}")
+    n_cells = header.count(",") + 1
+    out = []
+    for row_no, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        try:
+            if len(cells) != n_cells:
+                raise ValueError(f"expected {n_cells} columns, found {len(cells)}")
+            out.append(parse(*cells))
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: row {row_no}: {exc}") from exc
+    return out
+
+
 def read_report(path) -> list[ReportRow]:
     """Parse a summary CSV back into rows (raw accuracies not included)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != REPORT_HEADER:
-        raise ValueError(f"{path}: bad report header")
-    rows = []
-    for ln in lines[1:]:
-        alg, var, value, mean, stderr, iters = ln.split(",")
-        rows.append(
-            ReportRow(
-                algorithm=alg,
-                sweep_var=var,
-                sweep_value=value,
-                mean_accuracy=float(mean),
-                std_error=float(stderr),
-                iterations=int(iters),
-                raw_accuracies=(),
-            )
-        )
-    return rows
+    def parse(alg, var, value, mean, stderr, iters):
+        return ReportRow(alg, var, value, float(mean), float(stderr), int(iters), raw_accuracies=())
+
+    return _parse_rows(path, REPORT_HEADER, parse)
 
 
 def read_report_raw(path) -> dict[tuple[str, str], list[float]]:
     """Parse a raw CSV into {(algorithm, sweep_value): [accuracy per iteration]}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != RAW_HEADER:
-        raise ValueError(f"{path}: bad raw report header")
     out: dict[tuple[str, str], list[float]] = {}
-    for ln in lines[1:]:
-        alg, _var, value, _r, acc = ln.split(",")
-        out.setdefault((alg, value), []).append(float(acc))
+    rows = _parse_rows(path, RAW_HEADER, lambda alg, _var, value, _r, acc: (alg, value, float(acc)))
+    for alg, value, acc in rows:
+        out.setdefault((alg, value), []).append(acc)
     return out
 
 

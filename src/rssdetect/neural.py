@@ -18,12 +18,11 @@ activation, delta, leaky-derivative and gradient buffers for up to a
 fixed number of rows.  A training fit allocates one workspace for a full
 minibatch and reuses it on every step, slicing its first rows for a
 short last batch, so a step allocates no layer-sized temporaries (only
-the l1 penalty's sign of the narrow first-layer weights).  The public
-:func:`backward`, and :func:`forward_cached` when given no workspace,
-run the same code on a fresh one.  A forward pass alone (:func:`forward`)
-runs it with no workspace, on two fresh arrays that every layer reuses:
-building a workspace per call costs about 10 us, a few percent of a
-one-pair decision.
+the l1 penalty's sign of the narrow first-layer weights).
+:func:`forward_cached` without a workspace runs the same code on a fresh
+one.  A forward pass alone (:func:`forward`) runs it with no workspace,
+on two fresh arrays that every layer reuses: building a workspace per
+call costs about 10 us, a few percent of a one-pair decision.
 
 Bit-exactness: the in-place kernels give the same bits as the plain
 expressions ``a @ w.T + b``, ``np.where(z > 0, z, s * z)`` and
@@ -276,8 +275,7 @@ def forward_cached(
 
     Returns (outputs (B,), cache); feed the cache to
     :func:`backward_from_cache` to get gradients without recomputing the
-    forward pass.  Training hot loops use this pair; everything else can
-    stay on the plain :func:`forward`/:func:`backward` wrappers.
+    forward pass.  A pass that needs no gradients can use :func:`forward`.
 
     Without a ``workspace`` each call gets a fresh one.  With one, the
     outputs, the cache and the gradients later computed from it live in
@@ -318,22 +316,6 @@ def backward_from_cache(
         np.matmul(delta.T, acts[layer], out=g_w[layer])
         np.sum(delta, axis=0, out=g_b[layer])
     return ws.grads
-
-
-def backward(
-    params: MlpParams, x: np.ndarray, upstream, negative_slope: float = 0.01
-) -> GradientBundle:
-    """Exact gradients of sum_i upstream_i * output_i w.r.t. every parameter.
-
-    ``x`` may be a single input vector with scalar upstream, or a
-    (B, fan_in) batch with a (B,) upstream; batch gradients are summed.
-    """
-    x = np.asarray(x, dtype=params.weights[0].dtype)
-    if x.ndim == 1:
-        x = x[None, :]
-        upstream = np.array([float(upstream)])
-    _, cache = forward_cached(params, x, negative_slope)
-    return backward_from_cache(params, cache, upstream, negative_slope)
 
 
 def sgd_step(

@@ -9,16 +9,14 @@ one-line PASS summary with the measured values.
 Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
-import math
 import time
 
 import numpy as np
 import pytest
 
 from rssdetect import benchmarks as bm
-from rssdetect import detector as det
 from rssdetect import evaluation as ev
-from rssdetect import neural
+from rssdetect import invariants as inv
 from rssdetect import signal_model as sm
 from rssdetect.cli import main as cli_main
 from rssdetect.dataset import Label, PairSet, build_pair_set
@@ -46,40 +44,19 @@ def balanced_pairs(k, m, seed, gap=0.0) -> PairSet:
 
 
 def test_criterion_1_commutativity():
-    """1000 random models and pairs: statistic symmetric to 1e-9 relative,
-    decisions swap-invariant for DNNC, DBC(l1), DBC(l2), and KMC."""
+    """1000 random models and pairs: the statistics of DNNC, DBC(l1),
+    DBC(l2) and KMC are bit-equal under swap, so their decisions are
+    swap-invariant."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(derive_seed(ACCEPT_SEED, 101))
-    worst = 0.0
-    for i in range(1000):
-        m = int(rng.integers(1, 8))
-        width = int(rng.choice([4, 8, 16, 32]))
-        params = neural.init_params([3 * m, width, width, width, 1], seed=int(rng.integers(2**31)))
-        for w in params.weights:
-            w *= rng.uniform(0.5, 3.0)
-        model = det.DetectorModel(
-            params=params,
-            feature_mean=rng.normal(size=m),
-            feature_std=np.abs(rng.normal(size=m)) + 0.3,
-        )
-        f, fp = rng.normal(size=m), rng.normal(size=m)
-        g1 = det.statistic(model, f, fp)
-        g2 = det.statistic(model, fp, f)
-        assert abs(g1 - g2) <= 1e-9 * (1.0 + abs(g1))
-        worst = max(worst, abs(g1 - g2) / (1.0 + abs(g1)))
-        assert det.decide(model, f, fp).hypothesis == det.decide(model, fp, f).hypothesis
-
-        dbc = bm.DbcModel(norm_order=int(rng.integers(1, 3)), threshold=float(rng.normal(1.0)))
-        assert bm.decide_dbc(dbc, f, fp).hypothesis == bm.decide_dbc(dbc, fp, f).hypothesis
-        kmc = bm.KmcModel(
-            centroids=rng.normal(size=(int(rng.integers(1, 6)), m)),
-            threshold=float(np.abs(rng.normal(1.0))),
-        )
-        assert bm.decide_kmc(kmc, f, fp).hypothesis == bm.decide_kmc(kmc, fp, f).hypothesis
+    ok, detail = inv.commutativity(
+        rng, rng, 1000, features=(1, 8), widths=(4, 8, 16, 32), std_floor=0.3,
+        threshold_mean=1.0, max_centroids=5, weight_scale=(0.5, 3.0),
+    )
+    assert ok, detail
     dt = time.perf_counter() - t0
     assert dt < 10.0
-    print(f"\nPASS criterion 1: commutativity over 1000 models, worst rel asymmetry "
-          f"{worst:.2e}, {dt:.1f}s")
+    print(f"\nPASS criterion 1: commutativity over 1000 models, {detail}, {dt:.1f}s")
 
 
 def test_criterion_2_gradient_correctness():
@@ -88,73 +65,43 @@ def test_criterion_2_gradient_correctness():
     all four layers (weights and biases)."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(derive_seed(ACCEPT_SEED, 102))
-    m = 3
-    params = neural.init_params([3 * m, 10, 9, 8, 1], seed=7)
-    model = det.DetectorModel(
-        params=params, feature_mean=np.zeros(m), feature_std=np.ones(m)
+    pairs = balanced_pairs(k=10, m=3, seed=derive_seed(ACCEPT_SEED, 103), gap=1.0)
+    coords = 104
+    ok, detail = inv.gradient_check(
+        pairs, (10, 9, 8), 7, rng, coords, tol=1e-4, bias_fraction=0.15
     )
-    pairs = balanced_pairs(k=10, m=m, seed=derive_seed(ACCEPT_SEED, 103), gap=1.0)
-    _, grads = det.pair_loss_grad(model, pairs)
-
-    h = 1e-5
-    checked = 0
-    for layer in range(4):
-        for _ in range(26):
-            if rng.random() < 0.85:
-                arr = params.weights[layer]
-                garr = grads.weights[layer]
-                idx = (int(rng.integers(arr.shape[0])), int(rng.integers(arr.shape[1])))
-            else:
-                arr = params.biases[layer]
-                garr = grads.biases[layer]
-                idx = (int(rng.integers(arr.shape[0])),)
-            orig = arr[idx]
-            arr[idx] = orig + h
-            up = det.pair_loss(model, pairs)
-            arr[idx] = orig - h
-            down = det.pair_loss(model, pairs)
-            arr[idx] = orig
-            fd = (up - down) / (2 * h)
-            rel = abs(fd - garr[idx]) / max(1.0, abs(fd))
-            assert rel < 1e-4, (layer, idx, fd, garr[idx])
-            checked += 1
+    assert ok, detail
     dt = time.perf_counter() - t0
-    assert checked >= 100
+    assert coords >= 100
     assert dt < 30.0
-    print(f"PASS criterion 2: {checked} coordinates across 4 layers within 1e-4, {dt:.1f}s")
+    print(f"PASS criterion 2: {detail} across 4 layers within 1e-4, {dt:.1f}s")
 
 
 def test_criterion_3_loss_anchor():
     """Zero parameters give pair loss log 2 within 1e-12 on any balanced set."""
-    worst = 0.0
+    details = []
     for k, m, seed in [(1, 2, 1), (13, 5, 2), (200, 16, 3)]:
-        params = neural.init_params([3 * m, 8, 8, 8, 1], seed=seed)
-        for w in params.weights:
-            w[:] = 0.0
-        model = det.DetectorModel(
-            params=params, feature_mean=np.zeros(m), feature_std=np.ones(m)
-        )
-        pairs = balanced_pairs(k=k, m=m, seed=seed)
-        err = abs(det.pair_loss(model, pairs) - math.log(2.0))
-        worst = max(worst, err)
-        assert err <= 1e-12
-    print(f"PASS criterion 3: pair loss at theta=0 equals log 2 (worst error {worst:.1e})")
+        ok, detail = inv.loss_anchor(balanced_pairs(k=k, m=m, seed=seed), (8, 8, 8), tol=1e-12)
+        assert ok, detail
+        details.append(detail)
+    print(f"PASS criterion 3: pair loss at theta=0 equals log 2 ({'; '.join(details)})")
 
 
 def test_criterion_4_threshold_tuning_optimality():
     """tune_threshold matches a 10^4-point grid-search oracle on 50 sets."""
     rng = np.random.default_rng(2024)
-    for trial in range(50):
+    sets = []
+    for _ in range(50):
         n = int(rng.integers(30, 300))
         d = np.abs(rng.normal(3.0, 1.5, size=n)) + rng.exponential(1.0, size=n)
         y = rng.random(n) < rng.uniform(0.2, 0.8)
-        fit = bm.tune_threshold(d, y)
-        achieved = float(np.mean((d > fit.threshold) == y))
-        assert achieved == fit.accuracy
-        grid = np.linspace(d.min() - 1.0, d.max() + 1.0, 10_000)
-        grid_best = max(float(np.mean((d > t) == y)) for t in grid)
-        assert fit.accuracy >= grid_best  # midpoints cannot lose to a grid
-        assert fit.accuracy == grid_best, trial
+        sets.append((d, y))
+    ok, _ = inv.threshold_tuning(sets)
+    assert ok  # the tuned accuracy is achieved and midpoints cannot lose to a grid
+    # at these sizes the grid also finds the optimum, which it misses for
+    # a few sets at the sizes of `rssdetect check`
+    for trial, (d, y) in enumerate(sets):
+        assert bm.tune_threshold(d, y).accuracy == inv.grid_accuracy(d, y), trial
     print("PASS criterion 4: threshold tuning equals the 10^4-point grid oracle on 50 sets")
 
 
@@ -162,15 +109,17 @@ def test_criterion_5_kmeans_monotone_fixpoint():
     """WCSS never increases across Lloyd iterations; terminal assignment is
     a fixpoint, over 50 random corpora."""
     rng = np.random.default_rng(777)
-    for trial in range(50):
-        n = int(rng.integers(40, 200))
-        dim = int(rng.integers(2, 8))
-        k = int(rng.integers(2, 7))
-        x = rng.normal(size=(n, dim)) + rng.integers(0, k, size=(n, 1)) * rng.uniform(2, 6)
-        res = bm.lloyd_kmeans(x, k, seed=int(rng.integers(2**31)))
-        assert np.all(np.diff(res.wcss_history) <= 0.0), trial
-        assert res.converged
-        assert np.array_equal(bm._assign(x, res.centroids), res.labels)
+
+    def corpora():
+        for _ in range(50):
+            n = int(rng.integers(40, 200))
+            dim = int(rng.integers(2, 8))
+            k = int(rng.integers(2, 7))
+            x = rng.normal(size=(n, dim)) + rng.integers(0, k, size=(n, 1)) * rng.uniform(2, 6)
+            yield x, k, int(rng.integers(2**31))
+
+    ok, _ = inv.kmeans_monotone(corpora(), wcss_tol=0.0)
+    assert ok
     print("PASS criterion 5: WCSS non-increasing and terminal fixpoint on 50 corpora")
 
 
@@ -178,17 +127,11 @@ def test_criterion_6_estimator_consistency():
     """Longer windows estimate the true RSS strictly better: mean |err| over
     100 seeds at N_s=1024 below N_s=16."""
     sc = sm.generate_scenario(sm.ScenarioConfig(), seed=derive_seed(ACCEPT_SEED, 106))
-    truth = sm.true_rss(sc, 0).values_db
-    err = {}
-    for n_s in (16, 1024):
-        errs = [
-            float(np.abs(sm.estimate_rss_vector(sc, 0, n_s, seed=derive_seed(ACCEPT_SEED, 106, n_s, r)) - truth).mean())
-            for r in range(100)
-        ]
-        err[n_s] = float(np.mean(errs))
-    assert err[1024] < err[16]
-    print(f"PASS criterion 6: mean |err| {err[16]:.4f} dB at N_s=16 vs "
-          f"{err[1024]:.4f} dB at N_s=1024")
+    ok, detail = inv.estimator_consistency(
+        sc, (ACCEPT_SEED, 106), short=16, long=1024, repeats=100
+    )
+    assert ok, detail
+    print(f"PASS criterion 6: {detail}")
 
 
 @pytest.fixture(scope="module")

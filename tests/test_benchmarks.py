@@ -86,6 +86,11 @@ def pair_set_from_arrays(first, second, k) -> PairSet:
     )
 
 
+def distances(pairs: PairSet, q: int) -> np.ndarray:
+    """DBC's l_q distance of every pair: the model's margin at threshold 0."""
+    return bm.DbcModel(norm_order=q, threshold=0.0).statistic_batch(pairs.first, pairs.second)
+
+
 class TestTuneThreshold:
     def test_separable_midpoint(self):
         fit = bm.tune_threshold([1.0, 2.0, 3.0, 4.0], [False, False, True, True])
@@ -201,8 +206,8 @@ class TestDbc:
 
     def test_triangle_distances(self):
         pairs = pair_set_from_arrays([[0.0, 3.0], [0.0, 3.0]], [[4.0, 0.0], [4.0, 0.0]], k=1)
-        assert bm.pair_distances(pairs, 2)[0] == 5.0
-        assert bm.pair_distances(pairs, 1)[0] == 7.0
+        assert distances(pairs, 2)[0] == 5.0
+        assert distances(pairs, 1)[0] == 7.0
 
     def test_separable_training_accuracy(self):
         rng = np.random.default_rng(1)
@@ -212,7 +217,7 @@ class TestDbc:
         second[k:] += 5.0
         pairs = pair_set_from_arrays(first, second, k)
         model = bm.train_dbc(pairs, 2)
-        d = bm.pair_distances(pairs, 2)
+        d = distances(pairs, 2)
         assert rule_accuracy(d, pairs.labels, model.threshold) == 1.0
 
     def test_swap_symmetric(self):
@@ -249,8 +254,8 @@ class TestDbc:
         permuted = pair_set_from_arrays(first[:, perm], second[:, perm], k)
         for q in (1, 2):
             assert (
-                bm.tune_threshold(bm.pair_distances(pairs, q), pairs.labels).accuracy
-                == bm.tune_threshold(bm.pair_distances(permuted, q), permuted.labels).accuracy
+                bm.tune_threshold(distances(pairs, q), pairs.labels).accuracy
+                == bm.tune_threshold(distances(permuted, q), permuted.labels).accuracy
             )
 
 

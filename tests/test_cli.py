@@ -4,7 +4,9 @@ import pytest
 from rssdetect.cli import main, parse_config_file, apply_config
 from rssdetect import evaluation as ev
 from rssdetect.dataset import build_pair_set, load_measurements, split_locations
+from rssdetect.detector import DetectorModel
 from rssdetect.modelio import save_model
+from rssdetect.neural import init_params
 from rssdetect.seeding import derive_seed
 
 
@@ -216,9 +218,32 @@ def test_sweep_features_subsets_flag(tmp_path, small_args):
 
 def test_check_passes(capsys):
     assert main(["check", "--seed", "5"]) == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-    assert out.count("PASS") >= 6
+    assert capsys.readouterr().out == (
+        "PASS commutativity (worst rel asymmetry 0.00e+00)\n"
+        "PASS gradient-check (0 bad coordinates of 25)\n"
+        "PASS loss-anchor (|loss - log 2| = 0.0e+00)\n"
+        "PASS threshold-tuning\n"
+        "PASS kmeans-monotone\n"
+        "PASS estimator-consistency (mean |err| 0.616 dB @16 vs 0.154 dB @256)\n"
+        "all checks passed\n"
+    )
+
+
+def test_decide_rejects_wrong_feature_count(tmp_path, capsys):
+    model = tmp_path / "dnnc.model"
+    save_model(
+        DetectorModel(
+            params=init_params([12, 4, 1], seed=0),
+            feature_mean=np.zeros(4),
+            feature_std=np.ones(4),
+        ),
+        model,
+    )
+    assert main(["decide", "--model", str(model), "--f=1.0", "--f-prime=2.0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: feature length 1")
+    assert captured.err.count("\n") == 1
 
 
 def test_error_line_on_missing_file(tmp_path, capsys):

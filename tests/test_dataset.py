@@ -67,23 +67,22 @@ class TestBuildPairSet:
         ms = make_corpus()
         pairs = ds.build_pair_set(ms, ms.location_ids, k=50, seed=1)
         assert len(pairs) == 100 and pairs.k_per_class == 50
-        for p in pairs:
-            if p.label is ds.Label.SAME:
-                assert p.location_a == p.location_b
-                assert p.estimate_a != p.estimate_b
-            else:
-                assert p.location_a != p.location_b
-            # feature vectors really come from the recorded provenance
-            na, nb = ms.index_of(p.location_a), ms.index_of(p.location_b)
-            assert np.array_equal(p.first, ms.values[na, p.estimate_a])
-            assert np.array_equal(p.second, ms.values[nb, p.estimate_b])
+        same = pairs.label_codes == ds.Label.SAME.value
+        assert np.array_equal(pairs.location_a[same], pairs.location_b[same])
+        assert np.all(pairs.estimate_a[same] != pairs.estimate_b[same])
+        assert np.all(pairs.location_a[~same] != pairs.location_b[~same])
+        # feature vectors really come from the recorded provenance
+        na = [ms.index_of(int(i)) for i in pairs.location_a]
+        nb = [ms.index_of(int(i)) for i in pairs.location_b]
+        assert np.array_equal(pairs.first, ms.values[na, pairs.estimate_a])
+        assert np.array_equal(pairs.second, ms.values[nb, pairs.estimate_b])
 
     def test_two_estimates_forces_both(self):
         ms = make_corpus(e=2)
         pairs = ds.build_pair_set(ms, ms.location_ids, k=20, seed=2)
-        for p in pairs:
-            if p.label is ds.Label.SAME:
-                assert {p.estimate_a, p.estimate_b} == {0, 1}
+        same = pairs.label_codes == ds.Label.SAME.value
+        estimates = np.sort(np.c_[pairs.estimate_a[same], pairs.estimate_b[same]], axis=1)
+        assert np.all(estimates == [0, 1])
 
     def test_figure_configuration_builds(self):
         ms = make_corpus(l=40, e=8, m=16, seed=3)

@@ -99,12 +99,12 @@ class TestStatistic:
             fwd = forward_by_loops(model.params, np.r_[zf, zp, zf - zp], model.negative_slope)
             rev = forward_by_loops(model.params, np.r_[zp, zf, zp - zf], model.negative_slope)
             want = (fwd + rev) / 2
-            assert det.statistic(model, f, fp) == pytest.approx(want, rel=1e-9, abs=1e-12)
+            assert det.statistic_batch(model, f, fp) == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     def test_non_finite_input_rejected(self):
         model = make_model()
         with pytest.raises(ValueError, match="finite"):
-            det.statistic(model, np.array([np.nan, 0, 0, 0]), np.zeros(4))
+            det.statistic_batch(model, np.array([np.nan, 0, 0, 0]), np.zeros(4))
 
 
 # wide enough that a plain [forward; swapped] stack gets row-position-dependent
@@ -147,7 +147,7 @@ class TestStackedEvaluation:
         g = det.statistic_batch(STACK_MODEL, f, fp)
         rows = np.unique(np.r_[0, n - 1, B - 1 : n : B, B % n, rng.integers(0, n, size=8)])
         for i in rows:
-            assert g[i] == pytest.approx(det.statistic(STACK_MODEL, f[i], fp[i]), rel=1e-12)
+            assert g[i] == pytest.approx(det.statistic_batch(STACK_MODEL, f[i], fp[i]), rel=1e-12)
 
     @given(
         f=hnp.arrays(np.float64, 6, elements=features),
@@ -160,8 +160,8 @@ class TestStackedEvaluation:
         elif same == "all_but_last":
             fp = np.r_[f[:-1], fp[-1]]
         for model in (STACK_MODEL, PLAIN_MODEL):
-            g = det.statistic(model, f, fp)
-            assert np.float64(g).tobytes() == np.float64(det.statistic(model, fp, f)).tobytes()
+            g = det.statistic_batch(model, f, fp)
+            assert np.float64(g).tobytes() == np.float64(det.statistic_batch(model, fp, f)).tobytes()
 
     @pytest.fixture
     def forward_inputs(self, monkeypatch):
@@ -188,7 +188,7 @@ class TestStackedEvaluation:
         assert first.tobytes() == second.tobytes()
 
     def test_one_forward_per_block(self, forward_inputs):
-        det.statistic(STACK_MODEL, np.zeros(6), np.ones(6))
+        det.statistic_batch(STACK_MODEL, np.zeros(6), np.ones(6))
         det.statistic_batch(STACK_MODEL, np.zeros((2 * B + 3, 6)), np.ones((2 * B + 3, 6)))
         assert [x.shape[0] for x in forward_inputs] == [2, 2 * B, 2 * B, 6]
 

@@ -1,4 +1,4 @@
-"""Damaged model files and measurement CSVs: each one loads or raises DataFormatError.
+"""Damaged model files, measurement CSVs and reports: each one loads or raises DataFormatError.
 
 Every example takes a valid saved file and truncates it, or overwrites,
 inserts or deletes a few bytes in it, then loads the result.  Any
@@ -16,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rssdetect import dataset as ds
+from rssdetect import evaluation as ev
 from rssdetect import modelio, neural
 from rssdetect.benchmarks import DbcModel, KmcModel
 from rssdetect.detector import DetectorModel
@@ -56,8 +57,19 @@ def _csv_files() -> dict[str, bytes]:
     return {"measurements": csv, "coordinates": coords}
 
 
+def _report_files() -> dict[str, bytes]:
+    rows = tuple(
+        ev.ReportRow("dbc2", "locations", value, 0.75, std, len(raw), raw)
+        for value, std, raw in (("8", 0.05, (0.7, 0.8)), ("10", math.nan, (0.75,)))
+    )
+    report = ev.EvalReport(sweep_var="locations", rows=rows, config=ev.ExperimentConfig())
+    summary, raw = _saved_bytes(ev.emit_report, report, "raw")
+    return {"report": summary, "raw": raw}
+
+
 MODEL_FILES = _model_files()
 CSV_FILES = _csv_files()
+REPORT_FILES = _report_files()
 
 # fields a mutation may write whole: u32 counts and f64 values at their edges
 _FIELDS = [struct.pack("<I", v) for v in (0, 1, 2, 3, 0xFFFFFFFF)] + [
@@ -122,3 +134,14 @@ def test_damaged_measurement_csv(name, data):
         csv.write_bytes(blob if name == "measurements" else CSV_FILES["measurements"])
         coords.write_bytes(blob if name == "coordinates" else CSV_FILES["coordinates"])
         _loads_or_rejects(lambda p: ds.load_measurements(p, coords_path=coords), csv)
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_FILES))
+@given(data=st.data())
+def test_damaged_report(name, data):
+    blob = data.draw(damaged(REPORT_FILES[name], _CSV_CHUNKS))
+    read = ev.read_report if name == "report" else ev.read_report_raw
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "r.csv"
+        path.write_bytes(blob)
+        _loads_or_rejects(read, path)

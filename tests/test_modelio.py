@@ -231,3 +231,18 @@ def test_dnnc_file_without_features(tmp_path):
 def test_no_decision_without_features(model):
     with pytest.raises(ValueError, match="at least one feature"):
         modelio.decide_any(model, np.zeros(0), np.zeros(0))
+
+
+@pytest.mark.parametrize("shape", [(1,), (5,), (3, 1), (3, 5)])
+def test_dnnc_rejects_wrong_feature_count(shape):
+    # standardizing would broadcast a 1-feature input against 4 features
+    model = DetectorModel(
+        params=neural.init_params([12, 4, 1], seed=0),
+        feature_mean=np.zeros(4),
+        feature_std=np.ones(4),
+    )
+    f, fp = np.ones(shape), np.zeros(shape)
+    with pytest.raises(ValueError, match=f"feature length {shape[-1]} does not match"):
+        model.statistic_batch(f, fp)
+    with pytest.raises(ValueError, match=f"feature length {shape[-1]} does not match"):
+        modelio.decide_any(model, f, fp)

@@ -24,6 +24,16 @@ def forward_by_loops(params: MlpParams, x: np.ndarray, slope: float) -> float:
     return a[0]
 
 
+def gradients(params: MlpParams, x, upstream) -> GradientBundle:
+    """``forward_cached`` + ``backward_from_cache`` on a fresh workspace.
+
+    A single input vector takes a scalar upstream; batch gradients are summed.
+    """
+    x = np.atleast_2d(x)
+    _, cache = neural.forward_cached(params, x)
+    return neural.backward_from_cache(params, cache, np.reshape(upstream, x.shape[0]))
+
+
 class TestInit:
     def test_paper_architecture_shapes(self):
         params = neural.init_params([6, 512, 512, 512, 1], seed=0)
@@ -122,7 +132,7 @@ class TestBackward:
         params = neural.init_params([5, 7, 6, 4, 1], seed=9)
         x = rng.normal(size=5)
         upstream = 1.3
-        grads = neural.backward(params, x, upstream)
+        grads = gradients(params, x, upstream)
         h = 1e-5
         checked = 0
         for _ in range(100):
@@ -146,14 +156,14 @@ class TestBackward:
 
     def test_zero_upstream_gives_zero_bundle(self):
         params = neural.init_params([3, 4, 1], seed=1)
-        grads = neural.backward(params, np.ones(3), 0.0)
+        grads = gradients(params, np.ones(3), 0.0)
         assert all(np.all(g == 0) for g in grads.weights)
         assert all(np.all(g == 0) for g in grads.biases)
 
     def test_single_linear_layer_gradient_is_input(self):
         params = MlpParams(weights=[np.array([[0.5, -0.25, 2.0]])], biases=[np.zeros(1)])
         x = np.array([1.0, 2.0, 3.0])
-        grads = neural.backward(params, x, 1.0)
+        grads = gradients(params, x, 1.0)
         assert np.array_equal(grads.weights[0], x[None, :])
 
     def test_batch_sums_per_sample_gradients(self):
@@ -161,10 +171,10 @@ class TestBackward:
         params = neural.init_params([4, 6, 1], seed=2)
         xs = rng.normal(size=(5, 4))
         ups = rng.normal(size=5)
-        batch = neural.backward(params, xs, ups)
+        batch = gradients(params, xs, ups)
         acc = [np.zeros_like(w) for w in params.weights]
         for x, u in zip(xs, ups):
-            g = neural.backward(params, x, u)
+            g = gradients(params, x, u)
             for a, gw in zip(acc, g.weights):
                 a += gw
         for got, want in zip(batch.weights, acc):
@@ -270,7 +280,7 @@ class TestTrainLoop:
             margin = -ys[idx] * out
             loss = float(np.mean(np.logaddexp(0.0, margin)))
             dout = -ys[idx] / (1.0 + np.exp(-margin)) / idx.size
-            return loss, neural.backward(p, xs[idx], dout)
+            return loss, gradients(p, xs[idx], dout)
 
         def val_fn(p):
             return float(np.mean(np.sign(neural.forward(p, xs)) == ys))
@@ -294,7 +304,7 @@ class TestTrainLoop:
             margin = -labels[idx] * out
             loss = float(np.mean(np.logaddexp(0.0, margin)))
             dout = -labels[idx] / (1.0 + np.exp(-margin)) / idx.size
-            return loss, neural.backward(p, xs[idx], dout)
+            return loss, gradients(p, xs[idx], dout)
 
         def val_fn(p):
             return float(np.mean(np.sign(neural.forward(p, xs)) == labels))
@@ -334,7 +344,7 @@ class TestTrainLoop:
                 margin = -ys[idx] * out
                 loss = float(np.mean(np.logaddexp(0.0, margin)))
                 dout = -ys[idx] / (1.0 + np.exp(-margin)) / idx.size
-                return loss, neural.backward(p, xs[idx], dout)
+                return loss, gradients(p, xs[idx], dout)
 
             cfg = TrainConfig(max_epochs=10, patience=10, batch_size=8, hidden_sizes=(5,))
             return neural.train_loop(
