@@ -22,8 +22,8 @@ scenario = generate_scenario(config, seed=1)
 print(f"{scenario.n_locations} locations, {scenario.n_channels} receiver channels")
 print("antenna groups:", scenario.receiver_group)
 
-# True RSS per channel at one location (signal plus noise floor, dBm)
-f = true_rss(scenario, 0).values_db
+# True RSS per channel at one location (signal plus noise floor, dBm), an (M,) array
+f = true_rss(scenario, 0)
 print("\ntrue RSS at location 0 (dBm):")
 print(np.round(f, 2))
 

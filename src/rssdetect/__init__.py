@@ -18,7 +18,6 @@ from .benchmarks import (
     tune_threshold,
 )
 from .dataset import (
-    Label,
     LocationSplit,
     MeasurementSet,
     PairSet,
@@ -45,7 +44,6 @@ from .signal_model import (
     SampleWindow,
     Scenario,
     ScenarioConfig,
-    TrueRssVector,
     draw_sample_window,
     estimate_rss,
     estimate_rss_vector,

@@ -277,9 +277,7 @@ def _centroid_space_distance(centroids: np.ndarray, f, f_prime) -> np.ndarray:
     return np.sqrt(((rep_a - rep_b) ** 2).sum(axis=-1))
 
 
-def train_kmc(
-    ms, train_location_ids, pair_set: PairSet, kappa: int, seed, max_iter: int = 300
-) -> KmcModel:
+def train_kmc(ms, train_location_ids, pair_set: PairSet, kappa: int, seed) -> KmcModel:
     """Cluster all training vectors, then tune the distance-space threshold.
 
     Every estimate f^(j)(x_n) of every training location is clustered
@@ -290,7 +288,7 @@ def train_kmc(
     """
     rows = [ms.index_of(int(i)) for i in np.asarray(train_location_ids)]
     x = ms.values[rows].reshape(-1, ms.n_features)
-    km = lloyd_kmeans(x, kappa, seed, max_iter=max_iter)
+    km = lloyd_kmeans(x, kappa, seed)
 
     d = _centroid_space_distance(km.centroids, pair_set.first, pair_set.second)
     fit = tune_threshold(d, pair_set.labels)
@@ -312,14 +310,9 @@ def kmc_statistic_batch(model: KmcModel, f: np.ndarray, f_prime: np.ndarray):
 
     The margin is ||d(f) - d(f')||_2 - threshold, with the distance from
     :func:`_centroid_space_distance`, the one ``train_kmc`` tunes on.  The
-    input is checked first, so NaN, inf or mis-shaped input raises.
+    input goes through :func:`checked_pair` first, with M the centroids'.
     """
-    f, f_prime = checked_pair(f, f_prime)
-    if f.shape[-1] != model.centroids.shape[1]:
-        raise ValueError(
-            f"feature length {f.shape[-1]} does not match centroids "
-            f"({model.centroids.shape[1]})"
-        )
+    f, f_prime = checked_pair(f, f_prime, model.centroids.shape[1])
     return _centroid_space_distance(model.centroids, f, f_prime) - model.threshold
 
 

@@ -15,7 +15,7 @@ code is nonzero and stderr carries a single line ``error: <message>``.
 
 Configuration files are flat ``key = value`` text (``#`` comments).  See
 the README for the key list; defaults are the headline-experiment
-values.
+values.  A config file sets no seed: ``--seed`` is the only one.
 """
 
 from __future__ import annotations
@@ -68,8 +68,6 @@ def _parse_value(key: str, raw: str, current):
             return tuple(
                 tuple(float(v) for v in part.split(",")) for part in raw.split(";") if part.strip()
             )
-        if isinstance(current, bool):
-            return raw.lower() in ("1", "true", "yes")
         if isinstance(current, int):
             return int(raw)
         if isinstance(current, float):
@@ -108,7 +106,8 @@ def apply_config(cfg: ev.ExperimentConfig, kv: dict[str, str]) -> ev.ExperimentC
             section, name = "scenario", key
         elif key in _TRAIN_FIELDS:
             section, name = "train", key
-        elif key in _EXPERIMENT_FIELDS and key not in ("scenario", "train"):
+        # the master seed is --seed, which every command taking a config requires
+        elif key in _EXPERIMENT_FIELDS and key not in ("scenario", "train", "master_seed"):
             section, name = "experiment", key
         else:
             raise ConfigError(f"unknown configuration key {key!r}")

@@ -11,7 +11,6 @@ accuracies are interpreted as sampling with replacement over pairs.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -19,11 +18,6 @@ import numpy as np
 
 from .errors import DataFormatError
 from .seeding import as_seed_sequence
-
-
-class Label(enum.Enum):
-    SAME = 0
-    DIFF = 1
 
 
 @dataclass(frozen=True)
@@ -80,12 +74,13 @@ class MeasurementSet:
 class PairSet:
     """Balanced pair collection: exactly K SAME followed by K DIFF pairs.
 
-    Stored columnar for vectorized training and evaluation: pair i is row i of every array.
+    Stored columnar for vectorized training and evaluation: pair i is row
+    i of every array.  The layout fixes every label (rows [0, K) SAME,
+    rows [K, 2K) DIFF), so the labels are derived from K, not stored.
     """
 
     first: np.ndarray  # (2K, M)
     second: np.ndarray  # (2K, M)
-    label_codes: np.ndarray  # (2K,) int8, Label values
     location_a: np.ndarray  # (2K,) location ids
     location_b: np.ndarray
     estimate_a: np.ndarray  # (2K,) estimate indices
@@ -96,15 +91,11 @@ class PairSet:
         k = self.k_per_class
         if self.first.shape[0] != 2 * k:
             raise ValueError("pair arrays must hold exactly 2K pairs")
-        if int(np.sum(self.label_codes == Label.SAME.value)) != k:
-            raise ValueError("pair set must hold exactly K SAME pairs")
-        same = self.label_codes == Label.SAME.value
-        if np.any(self.location_a[same] != self.location_b[same]) or np.any(
-            self.estimate_a[same] == self.estimate_b[same]
+        if np.any(self.location_a[:k] != self.location_b[:k]) or np.any(
+            self.estimate_a[:k] == self.estimate_b[:k]
         ):
             raise ValueError("SAME pairs must share a location and use distinct estimates")
-        diff = ~same
-        if np.any(self.location_a[diff] == self.location_b[diff]):
+        if np.any(self.location_a[k:] == self.location_b[k:]):
             raise ValueError("DIFF pairs must use distinct locations")
 
     def __len__(self) -> int:
@@ -113,7 +104,7 @@ class PairSet:
     @property
     def labels(self) -> np.ndarray:
         """Boolean mask, True where the pair is DIFF (hypothesis H1)."""
-        return self.label_codes == Label.DIFF.value
+        return np.arange(2 * self.k_per_class) >= self.k_per_class
 
 
 @dataclass(frozen=True)
@@ -187,13 +178,9 @@ def build_pair_set(
         jdb,
     )
 
-    codes = np.concatenate(
-        [np.full(k, Label.SAME.value, dtype=np.int8), np.full(k, Label.DIFF.value, dtype=np.int8)]
-    )
     return PairSet(
         first=np.concatenate([same[0], diff[0]]),
         second=np.concatenate([same[1], diff[1]]),
-        label_codes=codes,
         location_a=np.concatenate([same[2], diff[2]]),
         location_b=np.concatenate([same[3], diff[3]]),
         estimate_a=np.concatenate([same[4], diff[4]]).astype(np.int64),

@@ -35,7 +35,7 @@ depend on this ordering.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,17 +111,12 @@ class DetectorModel:
 def sigmoid(x):
     """Numerically stable logistic function."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 0:  # one decision's posterior: the same expressions, unmasked
-        if x >= 0:
-            return float(1.0 / (1.0 + np.exp(-x)))
-        ex = np.exp(x)
-        return float(ex / (1.0 + ex))
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def softplus(x):
@@ -149,20 +144,28 @@ def _standardize(model: DetectorModel, f: np.ndarray) -> np.ndarray:
     return (f - model.feature_mean) / model.feature_std
 
 
-def checked_pair(f, f_prime) -> tuple[np.ndarray, np.ndarray]:
-    """Both inputs as float64, after checking equal shapes and finite entries.
+def checked_pair(f, f_prime, n_features=None) -> tuple[np.ndarray, np.ndarray]:
+    """Both inputs as float64, after checking that they are one pair input.
 
-    Takes two (M,) vectors or two (B, M) batches, M >= 1.  Every
-    statistic of every decision rule calls this once, so a NaN or inf
-    input, or one without features, raises instead of yielding a
-    statistic or a decision.
+    Takes two (M,) vectors or two (B, M) batches of one shape, M >= 1 (and
+    M = ``n_features`` when given), of a real dtype (bool, integer or
+    float) and with finite entries; anything else raises ``ValueError``.
+    A (0, M) batch passes, and every rule scores it to an empty array.
+    Every statistic of every decision rule calls this once, so no NaN,
+    inf, complex or mis-shaped input yields a statistic or a decision.
     """
-    f = np.asarray(f, dtype=np.float64)
-    f_prime = np.asarray(f_prime, dtype=np.float64)
+    f, f_prime = np.asarray(f), np.asarray(f_prime)
     if f.shape != f_prime.shape:
         raise ValueError(f"shape mismatch: {f.shape} vs {f_prime.shape}")
-    if f.ndim == 0 or f.shape[-1] == 0:
+    if f.ndim not in (1, 2):
+        raise ValueError(f"expected (M,) vectors or (B, M) batches, got shape {f.shape}")
+    if f.dtype.kind not in "biuf" or f_prime.dtype.kind not in "biuf":
+        raise ValueError(f"feature vectors must be real numbers, got {f.dtype} and {f_prime.dtype}")
+    if f.shape[-1] == 0:
         raise ValueError(f"feature vectors need at least one feature, got shape {f.shape}")
+    if n_features is not None and f.shape[-1] != n_features:
+        raise ValueError(f"feature length {f.shape[-1]} does not match the model's {n_features}")
+    f, f_prime = f.astype(np.float64, copy=False), f_prime.astype(np.float64, copy=False)
     if not (np.isfinite(f).all() and np.isfinite(f_prime).all()):
         raise ValueError("feature vectors must be finite")
     return f, f_prime
@@ -181,15 +184,11 @@ def statistic_batch(model: DetectorModel, f: np.ndarray, f_prime: np.ndarray):
 
     Each block of up to ``BLOCK_PAIRS`` canonically ordered pairs is one
     forward pass over both argument orders (see the module docstring).
-    Raises ``ValueError`` on non-finite input, on a feature count other
-    than the model's, and on a non-finite statistic (for example from
-    overflowed weights).
+    Raises ``ValueError`` on any input :func:`checked_pair` refuses, with
+    M the model's feature count, and on a non-finite statistic (for
+    example from overflowed weights).
     """
-    f, f_prime = checked_pair(f, f_prime)
-    if f.ndim not in (1, 2):
-        raise ValueError(f"expected (M,) vectors or (B, M) batches, got shape {f.shape}")
-    if f.shape[-1] != model.n_features:
-        raise ValueError(f"feature length {f.shape[-1]} does not match the model's {model.n_features}")
+    f, f_prime = checked_pair(f, f_prime, model.n_features)
     single = f.ndim == 1
     # + 0.0 turns -0.0 into +0.0, so vectors that compare equal are equal bytes
     zf = _standardize(model, np.atleast_2d(f)) + 0.0
@@ -343,8 +342,8 @@ def train_detector(
         g = (out[:n_val] + out[n_val:]) / 2.0
         return float(np.count_nonzero((g > 0.0) == val_labels) / n_val)
 
-    loop_cfg = replace(cfg, seed=int(s_shuffle.generate_state(1)[0]))
-    best, history = neural.train_loop(params, len(train_pairs), batch_grad, val_acc, loop_cfg)
+    shuffle_seed = int(s_shuffle.generate_state(1)[0])
+    best, history = neural.train_loop(params, n_train, batch_grad, val_acc, cfg, shuffle_seed)
     return (
         DetectorModel(
             params=best.astype(np.float64),

@@ -7,6 +7,10 @@ iteration redraws the location split (and pair sets) and retrains every
 requested algorithm from scratch; the corpus itself is fixed, like a
 real measurement campaign.
 
+Grid point s of a sweep is a (label, corpus, locations used) triple; the
+feature sweep projects the corpus on each channel subset once.  Cell
+(s, r) is ``run_iteration(corpus, cfg, l_used, derive_seed(S, s, r))``.
+
 Seed contract: with master seed S, the synthetic scenario uses
 derive_seed(S, 0), the corpus draws derive_seed(S, 1), and iteration r
 at sweep point s (0-based grid index) uses derive_seed(S, s, r).
@@ -131,21 +135,6 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class SweepPoint:
-    """One x-axis value of a sweep: a location count or a channel subset."""
-
-    kind: str  # "locations" | "features"
-    locations: int | None = None
-    features: tuple[int, ...] | None = None
-
-    @property
-    def value_label(self) -> str:
-        if self.kind == "locations":
-            return str(self.locations)
-        return "+".join(str(i) for i in self.features)
-
-
-@dataclass(frozen=True)
 class ReportRow:
     algorithm: str
     sweep_var: str
@@ -160,7 +149,6 @@ class ReportRow:
 class EvalReport:
     sweep_var: str
     rows: tuple[ReportRow, ...]
-    config: ExperimentConfig
 
 
 def load_corpus(cfg: ExperimentConfig) -> MeasurementSet:
@@ -194,15 +182,10 @@ def fit_rule(
 
 
 def run_iteration(
-    ms: MeasurementSet, cfg: ExperimentConfig, point: SweepPoint, iter_seed: int
+    ms: MeasurementSet, cfg: ExperimentConfig, l_used: int, iter_seed: int
 ) -> dict[str, float]:
-    """Split, build pairs, train every requested algorithm, score on test pairs."""
-    if point.kind == "features":
-        ms = select_features(ms, point.features)
-        l_used = cfg.locations_used_features
-    else:
-        l_used = point.locations
-
+    """Split ``l_used`` locations, build pairs, train every requested
+    algorithm, and score it on the test pairs."""
     split = split_locations(ms, l_used, cfg.train_fraction, seed=derive_seed(iter_seed, 0))
     if split.test_ids.size < 2:
         raise ConfigError(
@@ -227,13 +210,13 @@ def run_iteration(
     return out
 
 
-def _sweep(cfg: ExperimentConfig, points: list[SweepPoint], sweep_var: str) -> EvalReport:
-    ms = load_corpus(cfg)
+def _sweep(cfg: ExperimentConfig, sweep_var: str, points) -> EvalReport:
+    """Every cell of a grid of (label, corpus, locations used) points."""
     rows = []
-    for s, point in enumerate(points):
+    for s, (label, ms, l_used) in enumerate(points):
         per_alg: dict[str, list[float]] = {alg: [] for alg in cfg.algorithms}
         for r in range(cfg.iterations):
-            accs = run_iteration(ms, cfg, point, derive_seed(cfg.master_seed, s, r))
+            accs = run_iteration(ms, cfg, l_used, derive_seed(cfg.master_seed, s, r))
             for alg in cfg.algorithms:
                 per_alg[alg].append(accs[alg])
         for alg in cfg.algorithms:
@@ -245,26 +228,30 @@ def _sweep(cfg: ExperimentConfig, points: list[SweepPoint], sweep_var: str) -> E
                 ReportRow(
                     algorithm=alg,
                     sweep_var=sweep_var,
-                    sweep_value=point.value_label,
+                    sweep_value=label,
                     mean_accuracy=float(raw.mean()),
                     std_error=stderr,
                     iterations=raw.size,
                     raw_accuracies=tuple(float(a) for a in raw),
                 )
             )
-    return EvalReport(sweep_var=sweep_var, rows=tuple(rows), config=cfg)
+    return EvalReport(sweep_var=sweep_var, rows=tuple(rows))
 
 
 def sweep_locations(cfg: ExperimentConfig) -> EvalReport:
     """Accuracy versus number of locations available for training."""
-    points = [SweepPoint(kind="locations", locations=l) for l in cfg.location_grid]
-    return _sweep(cfg, points, "locations")
+    ms = load_corpus(cfg)
+    return _sweep(cfg, "locations", ((str(l), ms, l) for l in cfg.location_grid))
 
 
 def sweep_features(cfg: ExperimentConfig) -> EvalReport:
     """Accuracy versus receiver-channel subset, at a fixed location count."""
-    points = [SweepPoint(kind="features", features=tuple(s)) for s in cfg.feature_subsets]
-    return _sweep(cfg, points, "features")
+    ms = load_corpus(cfg)
+    points = (
+        ("+".join(map(str, s)), select_features(ms, s), cfg.locations_used_features)
+        for s in cfg.feature_subsets
+    )
+    return _sweep(cfg, "features", points)
 
 
 def emit_report(report: EvalReport, path, raw_path=None) -> None:
@@ -290,17 +277,22 @@ def emit_report(report: EvalReport, path, raw_path=None) -> None:
 
 def _parse_rows(path, header: str, parse) -> list:
     """``parse(*cells)`` of each data row; a wrong header or cell count, a
-    ``ValueError`` from ``parse`` or non-UTF-8 bytes raise ``DataFormatError``."""
+    second ``sweep_var`` (the second cell), a ``ValueError`` from ``parse``
+    or non-UTF-8 bytes raise ``DataFormatError``."""
     lines = [ln for ln in _read_lines(path) if ln.strip()]
     if not lines or lines[0] != header:
         raise DataFormatError(f"{path}: bad header, expected {header!r}")
     n_cells = header.count(",") + 1
-    out = []
+    out, sweep_var = [], None
     for row_no, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         try:
             if len(cells) != n_cells:
                 raise ValueError(f"expected {n_cells} columns, found {len(cells)}")
+            if sweep_var is None:
+                sweep_var = cells[1]
+            elif cells[1] != sweep_var:
+                raise ValueError(f"sweep_var {cells[1]!r} after {sweep_var!r}; a file holds one sweep")
             out.append(parse(*cells))
         except ValueError as exc:
             raise DataFormatError(f"{path}: row {row_no}: {exc}") from exc
@@ -316,11 +308,18 @@ def read_report(path) -> list[ReportRow]:
 
 
 def read_report_raw(path) -> dict[tuple[str, str], list[float]]:
-    """Parse a raw CSV into {(algorithm, sweep_value): [accuracy per iteration]}."""
+    """Parse a raw CSV into {(algorithm, sweep_value): [accuracy per iteration]};
+    each group's iterations must run 0, 1, ..., R-1 in order."""
     out: dict[tuple[str, str], list[float]] = {}
-    rows = _parse_rows(path, RAW_HEADER, lambda alg, _var, value, _r, acc: (alg, value, float(acc)))
-    for alg, value, acc in rows:
-        out.setdefault((alg, value), []).append(acc)
+
+    def parse(alg, _var, value, r, acc):
+        accs = out.setdefault((alg, value), [])
+        acc = float(acc)
+        if r != str(len(accs)):
+            raise ValueError(f"iteration {r!r} where {len(accs)} is next")
+        accs.append(acc)
+
+    _parse_rows(path, RAW_HEADER, parse)
     return out
 
 

@@ -121,7 +121,7 @@ def estimator_consistency(scenario, seed_path, short, long, repeats):
     """Location 0's RSS vector: the mean |estimate - truth| over ``repeats``
     estimates (seeds ``derive_seed(*seed_path, N_s, r)``) is smaller at
     window length N_s = ``long`` than at ``short``."""
-    truth = sm.true_rss(scenario, 0).values_db
+    truth = sm.true_rss(scenario, 0)
     err = {}
     for n_s in (short, long):
         seeds = [derive_seed(*seed_path, n_s, r) for r in range(repeats)]

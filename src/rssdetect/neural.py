@@ -100,6 +100,9 @@ class TrainConfig:
     A detector fit runs in float32, so there ``negative_slope``,
     ``l1_lambda`` and ``learning_rate`` act as their nearest float32
     values.
+
+    The config holds no seed: :func:`train_loop` takes its shuffle seed
+    as an argument, which ``detector.train_detector`` derives from its own.
     """
 
     learning_rate: float = 0.15
@@ -110,7 +113,6 @@ class TrainConfig:
     negative_slope: float = 0.01
     hidden_sizes: tuple[int, ...] = (512, 512, 512)
     init_scale: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -319,22 +321,18 @@ def backward_from_cache(
 
 
 def sgd_step(
-    params: MlpParams,
-    grads: GradientBundle,
-    learning_rate: float,
-    l1_lambda: float = 0.0,
-    l1_layer: int = 0,
+    params: MlpParams, grads: GradientBundle, learning_rate: float, l1_lambda: float = 0.0
 ) -> MlpParams:
     """One SGD update, in place; returns the updated params.
 
     The l1 subgradient lambda*sign(w) (sign(0) = 0) applies to the
-    weights of ``l1_layer`` only; biases are never penalized.
+    weights of the first layer only; biases are never penalized.
 
     ``grads`` is used as scratch: on return each of its arrays holds the
     step that was subtracted from the matching parameter.
     """
     for layer, (w, gw) in enumerate(zip(params.weights, grads.weights)):
-        if l1_lambda > 0.0 and layer == l1_layer:
+        if l1_lambda > 0.0 and layer == 0:
             gw += l1_lambda * np.sign(w)
         gw *= learning_rate
         w -= gw
@@ -356,10 +354,12 @@ def train_loop(
     batch_grad_fn,
     val_accuracy_fn,
     cfg: TrainConfig,
+    seed,
 ) -> tuple[MlpParams, TrainHistory]:
     """Minibatch SGD with validation-accuracy early stopping.
 
-    Each epoch shuffles example indices (seeded), walks consecutive
+    Each epoch shuffles the example indices with a generator seeded by
+    ``seed`` (an int or SeedSequence), then walks consecutive
     minibatches through ``batch_grad_fn(params, indices) -> (loss,
     GradientBundle)`` (both averaged over the batch), then evaluates
     ``val_accuracy_fn(params)``.  The snapshot with the best validation
@@ -369,7 +369,7 @@ def train_loop(
     non-finite after an epoch's last step, raise ``NonFiniteLossError``,
     so no snapshot holds an overflowed weight.
     """
-    rng = np.random.default_rng(as_seed_sequence(cfg.seed))
+    rng = np.random.default_rng(as_seed_sequence(seed))
     history = TrainHistory()
     best = params.copy()
     best_acc = -math.inf
@@ -391,7 +391,7 @@ def train_loop(
                     f"training gradient became non-finite; try a smaller learning rate "
                     f"(currently {cfg.learning_rate})"
                 )
-            sgd_step(params, grads, cfg.learning_rate, cfg.l1_lambda, l1_layer=0)
+            sgd_step(params, grads, cfg.learning_rate, cfg.l1_lambda)
             loss_sum += loss * idx.size
         # a finite gradient times the learning rate can still overflow
         if not _all_finite(params):

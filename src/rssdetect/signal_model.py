@@ -96,7 +96,6 @@ class ScenarioConfig:
     tx_power_dbm: float = 0.0
     gain_drift_std_db: float = 0.0
     gain_group_radius_m: float = 0.5
-    ts_seconds: float = 5e-8
     tone_cycles_per_sample: float = 0.25
 
 
@@ -114,7 +113,6 @@ class Scenario:
     receivers: np.ndarray  # (M, 3) meters
     shadowing_db: np.ndarray  # (L, M)
     receiver_group: np.ndarray  # (M,) int
-    seed: int
 
     @property
     def n_locations(self) -> int:
@@ -132,19 +130,6 @@ class SampleWindow:
     location_id: int
     receiver_id: int
     samples: np.ndarray  # complex128, length N_s
-    ts_seconds: float
-
-    @property
-    def n_samples(self) -> int:
-        return self.samples.shape[0]
-
-
-@dataclass(frozen=True)
-class TrueRssVector:
-    """Per-channel RSS of signal plus noise, in dBm."""
-
-    location_id: int
-    values_db: np.ndarray  # (M,)
 
 
 def _validate_config(config: ScenarioConfig) -> None:
@@ -174,8 +159,6 @@ def _validate_config(config: ScenarioConfig) -> None:
         raise ConfigError(f"gain_drift_std_db must be >= 0, got {config.gain_drift_std_db}")
     if config.gain_group_radius_m < 0:
         raise ConfigError(f"gain_group_radius_m must be >= 0, got {config.gain_group_radius_m}")
-    if config.ts_seconds <= 0:
-        raise ConfigError(f"ts_seconds must be > 0, got {config.ts_seconds}")
 
 
 def _default_receiver_layout(config: ScenarioConfig) -> np.ndarray:
@@ -257,7 +240,6 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
         receivers=receivers,
         shadowing_db=shadowing,
         receiver_group=groups,
-        seed=seed,
     )
 
 
@@ -285,8 +267,8 @@ def received_power_dbm(scenario: Scenario, location_id: int, receiver_id: int) -
     return _signal_power_dbm(scenario, location_id, receiver_id)
 
 
-def true_rss(scenario: Scenario, location_id: int) -> TrueRssVector:
-    """Expected RSS of signal plus noise per channel, in dBm.
+def true_rss(scenario: Scenario, location_id: int) -> np.ndarray:
+    """Expected RSS of signal plus noise per channel, in dBm, shape (M,).
 
     Signal and noise powers add linearly (they are uncorrelated), so
     f_m = 10*log10(10^(P_rx,m/10) + 10^(noise/10)).
@@ -298,7 +280,7 @@ def true_rss(scenario: Scenario, location_id: int) -> TrueRssVector:
     for rx in range(m):
         sig_lin = db_to_linear(received_power_dbm(scenario, location_id, rx))
         values[rx] = linear_to_db(sig_lin + noise_lin)
-    return TrueRssVector(location_id=location_id, values_db=values)
+    return values
 
 
 def _generators(words: np.ndarray):
@@ -388,12 +370,7 @@ def draw_sample_window(
     amplitude = np.array([math.sqrt(db_to_linear(p_rx))])
     words = pcg64_words(as_seed_sequence(seed), np.empty((1, 0), dtype=np.int64))
     samples = _sample_windows(scenario.config, amplitude, words, n_samples)
-    return SampleWindow(
-        location_id=location_id,
-        receiver_id=receiver_id,
-        samples=samples[0],
-        ts_seconds=scenario.config.ts_seconds,
-    )
+    return SampleWindow(location_id=location_id, receiver_id=receiver_id, samples=samples[0])
 
 
 def estimate_rss(window: SampleWindow) -> float:

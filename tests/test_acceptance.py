@@ -19,7 +19,7 @@ from rssdetect import evaluation as ev
 from rssdetect import invariants as inv
 from rssdetect import signal_model as sm
 from rssdetect.cli import main as cli_main
-from rssdetect.dataset import Label, PairSet, build_pair_set
+from rssdetect.dataset import PairSet
 from rssdetect.seeding import derive_seed
 
 ACCEPT_SEED = 0  # master seed of the acceptance runs
@@ -30,11 +30,9 @@ def balanced_pairs(k, m, seed, gap=0.0) -> PairSet:
     first = rng.normal(size=(2 * k, m))
     second = first + rng.normal(0, 0.1, size=(2 * k, m))
     second[k:] += gap
-    codes = np.array([Label.SAME.value] * k + [Label.DIFF.value] * k, dtype=np.int8)
     return PairSet(
         first=first,
         second=second,
-        label_codes=codes,
         location_a=np.r_[np.arange(k), np.arange(k)],
         location_b=np.r_[np.arange(k), np.arange(k) + 10_000],
         estimate_a=np.zeros(2 * k, dtype=np.int64),
@@ -223,8 +221,7 @@ def test_criterion_10_harness_calibration():
         master_seed=ACCEPT_SEED,
     )
     ms = ev.load_corpus(cfg)
-    point = ev.SweepPoint(kind="locations", locations=20)
-    accs = ev.run_iteration(ms, cfg, point, derive_seed(ACCEPT_SEED, 0, 0))
+    accs = ev.run_iteration(ms, cfg, 20, derive_seed(ACCEPT_SEED, 0, 0))
     assert abs(accs["always_h1"] - 0.5) <= 0.02
     assert accs["cheat"] == 1.0
     print(f"\nPASS criterion 10: always-H1 {accs['always_h1']:.3f}, oracle {accs['cheat']:.1f}")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rssdetect import benchmarks as bm
-from rssdetect.dataset import Label, PairSet
+from rssdetect.dataset import PairSet
 from rssdetect.detector import Hypothesis
 
 
@@ -73,11 +73,9 @@ def ulp_neighbours(draw):
 
 
 def pair_set_from_arrays(first, second, k) -> PairSet:
-    codes = np.array([Label.SAME.value] * k + [Label.DIFF.value] * k, dtype=np.int8)
     return PairSet(
         first=np.asarray(first, dtype=float),
         second=np.asarray(second, dtype=float),
-        label_codes=codes,
         location_a=np.r_[np.arange(k), np.arange(k)],
         location_b=np.r_[np.arange(k), np.arange(k) + 500],
         estimate_a=np.zeros(2 * k, dtype=np.int64),

@@ -1,7 +1,10 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from rssdetect.cli import main, parse_config_file, apply_config
+from rssdetect.cli import _KEY_ALIASES, main, parse_config_file, apply_config
 from rssdetect import evaluation as ev
 from rssdetect.dataset import build_pair_set, load_measurements, split_locations
 from rssdetect.detector import DetectorModel
@@ -304,3 +307,47 @@ def test_config_file_comments_and_blank_lines(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("# comment only\n\nlocations = 5 # trailing comment\n")
     assert parse_config_file(cfg) == {"locations": "5"}
+
+
+def _readme_config_keys() -> list[str]:
+    """The keys of the README's configuration table, in table order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    keys = []
+    for group in ("scenario", "campaign", "experiment", "training"):
+        row = re.search(rf"^\| {group} \| (.*) \|$", readme, re.MULTILINE).group(1)
+        # parentheses hold value formats, such as `x0,x1;y0,y1;z0,z1` and `inf`
+        keys += re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", row))
+    return keys
+
+
+def _config_text(value) -> str:
+    """A config value written the way the config file spells it."""
+    if isinstance(value, tuple):
+        sep = ";" if value and isinstance(value[0], tuple) else ","
+        return sep.join(_config_text(v) for v in value)
+    return str(value)
+
+
+@pytest.mark.parametrize("key", _readme_config_keys())
+def test_every_readme_config_key_is_accepted(key):
+    default = ev.ExperimentConfig()
+    if key == "receiver_positions":  # default None: no layout to write back
+        cfg = apply_config(default, {key: "1.0,2.0,3.0;4.0,5.0,6.0"})
+        assert cfg.scenario.receiver_positions == ((1.0, 2.0, 3.0), (4.0, 5.0, 6.0))
+        return
+    name = _KEY_ALIASES.get(key, (None, key))[1]
+    owner = next(o for o in (default.scenario, default.train, default) if hasattr(o, name))
+    # the default written back leaves the whole config unchanged
+    assert apply_config(default, {key: _config_text(getattr(owner, name))}) == default
+
+
+@pytest.mark.parametrize("key, value", [("seed", "1"), ("ts_seconds", "1e-6"), ("master_seed", "3")])
+def test_keys_that_change_no_output_are_refused(tmp_path, capsys, key, value):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"locations = 5\n{key} = {value}\n")
+    out = tmp_path / "m.csv"
+    assert main(["generate", "--out", str(out), "--seed", "1", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown configuration key {key!r}\n"
+    assert not out.exists()

@@ -67,7 +67,8 @@ class TestBuildPairSet:
         ms = make_corpus()
         pairs = ds.build_pair_set(ms, ms.location_ids, k=50, seed=1)
         assert len(pairs) == 100 and pairs.k_per_class == 50
-        same = pairs.label_codes == ds.Label.SAME.value
+        assert np.array_equal(pairs.labels, np.arange(100) >= 50)  # 50 SAME, then 50 DIFF
+        same = ~pairs.labels
         assert np.array_equal(pairs.location_a[same], pairs.location_b[same])
         assert np.all(pairs.estimate_a[same] != pairs.estimate_b[same])
         assert np.all(pairs.location_a[~same] != pairs.location_b[~same])
@@ -80,7 +81,7 @@ class TestBuildPairSet:
     def test_two_estimates_forces_both(self):
         ms = make_corpus(e=2)
         pairs = ds.build_pair_set(ms, ms.location_ids, k=20, seed=2)
-        same = pairs.label_codes == ds.Label.SAME.value
+        same = ~pairs.labels
         estimates = np.sort(np.c_[pairs.estimate_a[same], pairs.estimate_b[same]], axis=1)
         assert np.all(estimates == [0, 1])
 
@@ -107,7 +108,7 @@ class TestBuildPairSet:
         # chi-square test on the SAME-class location histogram
         ms = make_corpus(l=10, e=3)
         pairs = ds.build_pair_set(ms, ms.location_ids, k=100_000, seed=8)
-        same_locs = pairs.location_a[pairs.label_codes == ds.Label.SAME.value]
+        same_locs = pairs.location_a[~pairs.labels]
         counts = np.bincount(same_locs, minlength=10)
         expected = 100_000 / 10
         chi2 = float(((counts - expected) ** 2 / expected).sum())

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from rssdetect import detector as det
 from rssdetect import modelio, neural
 from rssdetect.benchmarks import DbcModel
-from rssdetect.dataset import Label, MeasurementSet, PairSet, build_pair_set, split_locations
+from rssdetect.dataset import MeasurementSet, PairSet, split_locations
 from rssdetect.neural import MlpParams, TrainConfig
 
 
@@ -32,11 +32,9 @@ def make_pair_set(k=10, m=4, seed=0, gap=0.0) -> PairSet:
     first = rng.normal(size=(2 * k, m))
     second = first + rng.normal(0, 0.1, size=(2 * k, m))
     second[k:] += gap + rng.normal(0, 0.1, size=(k, m))
-    codes = np.array([Label.SAME.value] * k + [Label.DIFF.value] * k, dtype=np.int8)
     return PairSet(
         first=first,
         second=second,
-        label_codes=codes,
         location_a=np.r_[np.arange(k), np.arange(k)],
         location_b=np.r_[np.arange(k), np.arange(k) + 1000],
         estimate_a=np.zeros(2 * k, dtype=np.int64),
@@ -293,7 +291,6 @@ class TestPairLoss:
         same_only = PairSet(
             first=pairs.first[:1].repeat(2, axis=0),
             second=pairs.second[:1].repeat(2, axis=0),
-            label_codes=np.array([Label.SAME.value, Label.DIFF.value], dtype=np.int8),
             location_a=np.array([0, 0]),
             location_b=np.array([0, 1]),
             estimate_a=np.array([0, 0]),

@@ -3,7 +3,7 @@ import pytest
 
 from rssdetect import evaluation as ev
 from rssdetect import signal_model as sm
-from rssdetect.dataset import MeasurementSet
+from rssdetect.dataset import select_features
 from rssdetect.errors import ConfigError
 from rssdetect.neural import TrainConfig
 from rssdetect.seeding import derive_seed
@@ -60,34 +60,37 @@ class TestConfigValidation:
 class TestRunIteration:
     def test_deterministic(self, corpus):
         cfg = small_cfg()
-        point = ev.SweepPoint(kind="locations", locations=10)
-        a = ev.run_iteration(corpus, cfg, point, iter_seed=123)
-        b = ev.run_iteration(corpus, cfg, point, iter_seed=123)
+        a = ev.run_iteration(corpus, cfg, 10, iter_seed=123)
+        b = ev.run_iteration(corpus, cfg, 10, iter_seed=123)
         assert a == b
 
     def test_always_h1_scores_exactly_half(self, corpus):
         cfg = small_cfg(algorithms=("always_h1",))
-        point = ev.SweepPoint(kind="locations", locations=10)
-        accs = ev.run_iteration(corpus, cfg, point, iter_seed=5)
+        accs = ev.run_iteration(corpus, cfg, 10, iter_seed=5)
         assert accs["always_h1"] == 0.5  # test pairs are balanced by construction
 
     def test_provenance_oracle_scores_one(self, corpus):
         cfg = small_cfg(algorithms=("cheat",))
-        point = ev.SweepPoint(kind="locations", locations=10)
-        accs = ev.run_iteration(corpus, cfg, point, iter_seed=6)
+        accs = ev.run_iteration(corpus, cfg, 10, iter_seed=6)
         assert accs["cheat"] == 1.0
 
     def test_feature_point_projects_corpus(self, corpus):
         cfg = small_cfg()
-        point = ev.SweepPoint(kind="features", features=(0, 4))
-        accs = ev.run_iteration(corpus, cfg, point, iter_seed=7)
+        l_used = cfg.locations_used_features
+        accs = ev.run_iteration(select_features(corpus, (0, 4)), cfg, l_used, iter_seed=7)
         assert set(accs) == {"dbc1", "dbc2"}
+        # cell (1, r) of the feature sweep: the same call on its projection, at its seed path
+        report = ev.sweep_features(cfg)
+        projected = select_features(corpus, cfg.feature_subsets[1])
+        rows = [row for row in report.rows if row.sweep_value == "0+4"]
+        for r in range(cfg.iterations):
+            cell = ev.run_iteration(projected, cfg, l_used, derive_seed(cfg.master_seed, 1, r))
+            assert cell == {row.algorithm: row.raw_accuracies[r] for row in rows}
 
     def test_infeasible_split_raises(self, corpus):
         cfg = small_cfg(algorithms=("dbc2",), location_grid=(13,))
-        point = ev.SweepPoint(kind="locations", locations=13)  # leaves 1 test location
         with pytest.raises(ConfigError, match="test locations"):
-            ev.run_iteration(corpus, cfg, point, iter_seed=8)
+            ev.run_iteration(corpus, cfg, 13, iter_seed=8)  # leaves 1 test location
 
 
 class TestSweeps:

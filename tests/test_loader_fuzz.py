@@ -62,7 +62,7 @@ def _report_files() -> dict[str, bytes]:
         ev.ReportRow("dbc2", "locations", value, 0.75, std, len(raw), raw)
         for value, std, raw in (("8", 0.05, (0.7, 0.8)), ("10", math.nan, (0.75,)))
     )
-    report = ev.EvalReport(sweep_var="locations", rows=rows, config=ev.ExperimentConfig())
+    report = ev.EvalReport(sweep_var="locations", rows=rows)
     summary, raw = _saved_bytes(ev.emit_report, report, "raw")
     return {"report": summary, "raw": raw}
 
@@ -145,3 +145,48 @@ def test_damaged_report(name, data):
         path = Path(d) / "r.csv"
         path.write_bytes(blob)
         _loads_or_rejects(read, path)
+
+
+# raw rows each reader must refuse although every cell parses on its own
+_BAD_RAW = {
+    "non-integer iteration": ["dbc2,locations,8,xyz,0.5"],
+    "first iteration not 0": ["dbc2,locations,8,1,0.5"],
+    "iteration repeated": ["dbc2,locations,8,0,0.5", "dbc2,locations,8,0,0.75"],
+    "iteration skipped": ["dbc2,locations,8,0,0.5", "dbc2,locations,8,2,0.75"],
+    "two sweep_vars": ["dbc2,locations,8,0,0.5", "dbc2,features,0+1,0,0.75"],
+}
+
+
+@pytest.mark.parametrize("rows", list(_BAD_RAW.values()), ids=list(_BAD_RAW))
+def test_raw_report_rows_refused(tmp_path, rows):
+    path = tmp_path / "r.raw.csv"
+    path.write_text("\n".join([ev.RAW_HEADER, *rows]) + "\n")
+    with pytest.raises(DataFormatError, match="row"):
+        ev.read_report_raw(path)
+
+
+def test_summary_report_with_two_sweep_vars_refused(tmp_path):
+    path = tmp_path / "r.csv"
+    rows = ["dbc2,locations,8,0.5,nan,1", "dbc2,features,0+1,0.5,nan,1"]
+    path.write_text("\n".join([ev.REPORT_HEADER, *rows]) + "\n")
+    with pytest.raises(DataFormatError, match="row 3: sweep_var"):
+        ev.read_report(path)
+
+
+@given(
+    raws=st.lists(st.lists(st.floats(), min_size=1, max_size=4), min_size=1, max_size=6),
+    sweep_var=st.sampled_from(["locations", "features"]),
+)
+def test_raw_report_round_trip_exact(raws, sweep_var):
+    # rows alternate between two rules over grid values 0, 1, ...
+    keys = [("dbc1" if i % 2 else "kmc", str(i // 2)) for i in range(len(raws))]
+    rows = tuple(
+        ev.ReportRow(alg, sweep_var, value, math.nan, math.nan, len(raw), tuple(raw))
+        for (alg, value), raw in zip(keys, raws)
+    )
+    with tempfile.TemporaryDirectory() as d:
+        summary, raw_path = Path(d) / "r.csv", Path(d) / "r.raw.csv"
+        ev.emit_report(ev.EvalReport(sweep_var, rows), summary, raw_path=raw_path)
+        back = ev.read_report_raw(raw_path)
+    want = {key: [x.hex() for x in raw] for key, raw in zip(keys, raws)}
+    assert {key: [x.hex() for x in accs] for key, accs in back.items()} == want

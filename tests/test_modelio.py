@@ -3,6 +3,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rssdetect import modelio, neural
 from rssdetect.benchmarks import DbcModel, KmcModel
@@ -246,3 +249,58 @@ def test_dnnc_rejects_wrong_feature_count(shape):
         model.statistic_batch(f, fp)
     with pytest.raises(ValueError, match=f"feature length {shape[-1]} does not match"):
         modelio.decide_any(model, f, fp)
+
+
+# one model of each rule over M = 4 features; DBC has no feature count to check
+M = 4
+RULES = {
+    "dnnc": DetectorModel(
+        params=neural.init_params([3 * M, 5, 1], seed=3), feature_mean=np.zeros(M), feature_std=np.ones(M)
+    ),
+    "dbc1": DbcModel(norm_order=1, threshold=0.5),
+    "dbc2": DbcModel(norm_order=2, threshold=0.5),
+    "kmc": KmcModel(centroids=np.arange(2.0 * M).reshape(2, M), threshold=0.5),
+}
+
+
+@st.composite
+def refused_pair(draw, rule):
+    """A pair of equal-shape inputs that break exactly one part of the input contract."""
+    breaks = ["rank", "dtype", "non-finite"] + (["feature count"] if rule in ("dnnc", "kmc") else [])
+    broken = draw(st.sampled_from(breaks))
+    m = draw(st.integers(1, 7).filter(lambda k: k != M)) if broken == "feature count" else M
+    batch = draw(st.sampled_from([(), (1,), (3,)]))
+    finite = st.floats(-1e6, 1e6)
+    f, fp = (draw(hnp.arrays(np.float64, (*batch, m), elements=finite)) for _ in range(2))
+    if broken == "rank":
+        if draw(st.booleans()):
+            f, fp = f.reshape(-1)[0], fp.reshape(-1)[0]  # 0-d
+        else:
+            f, fp = f[None, None], fp[None, None]  # rank 3 or 4
+    elif broken == "dtype":
+        dtype = draw(st.sampled_from([np.complex128, object, str]))
+        slots = draw(st.sampled_from([(True, False), (False, True), (True, True)]))
+        f, fp = (a.astype(dtype) if cast else a for a, cast in zip((f, fp), slots))
+    elif broken == "non-finite":
+        bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        target = (f, fp)[draw(st.integers(0, 1))]
+        target[tuple(draw(st.integers(0, n - 1)) for n in target.shape)] = bad
+    return f, fp
+
+
+@pytest.mark.parametrize("rule", sorted(RULES))
+@given(data=st.data())
+def test_decide_any_refuses_input_outside_the_contract(rule, data):
+    f, fp = data.draw(refused_pair(rule))
+    with pytest.raises(ValueError):
+        modelio.decide_any(RULES[rule], f, fp)
+
+
+@pytest.mark.parametrize("rule", sorted(RULES))
+def test_empty_batch_scores_to_an_empty_array(rule):
+    model = RULES[rule]
+    g = model.statistic_batch(np.zeros((0, M)), np.zeros((0, M)))
+    assert isinstance(g, np.ndarray) and g.shape == (0,)
+    # the model itself is sound: a valid pair decides
+    f, fp = np.zeros(M), np.arange(1.0, M + 1)
+    assert modelio.decide_any(model, f, fp).statistic == model.statistic_batch(f, fp)

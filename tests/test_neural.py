@@ -205,8 +205,8 @@ class TestSgdStep:
             weights=[np.zeros((1, 2)), np.zeros((1, 1))],
             biases=[np.zeros(1), np.zeros(1)],
         )
-        neural.sgd_step(params, zero, learning_rate=0.1, l1_lambda=0.5, l1_layer=0)
-        # designated layer shrinks toward zero by lr*lambda*sign; rest untouched
+        neural.sgd_step(params, zero, learning_rate=0.1, l1_lambda=0.5)
+        # the first layer shrinks toward zero by lr*lambda*sign; rest untouched
         assert params.weights[0] == pytest.approx(np.array([[0.95, -1.95]]))
         assert params.weights[1] == pytest.approx(np.array([[0.5]]))
         assert params.biases[0] == pytest.approx(np.array([0.1]))
@@ -240,7 +240,7 @@ class TestTrainLoop:
     def test_single_epoch(self):
         params = neural.init_params([2, 3, 1], seed=0)
         cfg = TrainConfig(max_epochs=1, patience=math.inf, batch_size=4, hidden_sizes=(3,))
-        best, history = neural.train_loop(params, 8, constant_grad_fn(), lambda p: 0.75, cfg)
+        best, history = neural.train_loop(params, 8, constant_grad_fn(), lambda p: 0.75, cfg, seed=0)
         assert history.n_epochs == 1
         assert history.val_accuracy == [0.75]
 
@@ -248,7 +248,7 @@ class TestTrainLoop:
         params = neural.init_params([2, 3, 1], seed=0)
         seq = iter([0.9 - 0.01 * i for i in range(100)])
         cfg = TrainConfig(max_epochs=100, patience=7, batch_size=4, hidden_sizes=(3,))
-        _, history = neural.train_loop(params, 8, constant_grad_fn(), lambda p: next(seq), cfg)
+        _, history = neural.train_loop(params, 8, constant_grad_fn(), lambda p: next(seq), cfg, seed=0)
         assert history.n_epochs == 7 + 1
 
     def test_best_snapshot_is_earliest_max(self):
@@ -265,7 +265,7 @@ class TestTrainLoop:
             max_epochs=9, patience=7, batch_size=8, learning_rate=1.0, l1_lambda=0.0,
             hidden_sizes=(),
         )
-        best, history = neural.train_loop(params, 8, bump, lambda p: next(seq), cfg)
+        best, history = neural.train_loop(params, 8, bump, lambda p: next(seq), cfg, seed=0)
         assert history.best_epoch() == 1  # 0-based epoch of the first 0.8
         assert best.weights[0][0, 0] == pytest.approx(2.0)  # two epochs of +1
 
@@ -288,7 +288,7 @@ class TestTrainLoop:
         cfg = TrainConfig(
             max_epochs=30, patience=30, batch_size=16, learning_rate=0.05, hidden_sizes=(8, 8, 8)
         )
-        best, history = neural.train_loop(params, 64, grad_fn, val_fn, cfg)
+        best, history = neural.train_loop(params, 64, grad_fn, val_fn, cfg, seed=0)
         assert val_fn(best) == max(history.val_accuracy)
 
     def test_separable_toy_reaches_perfect_validation(self):
@@ -312,7 +312,7 @@ class TestTrainLoop:
         cfg = TrainConfig(
             max_epochs=200, patience=200, batch_size=32, learning_rate=0.1, hidden_sizes=(16, 16, 16)
         )
-        best, history = neural.train_loop(params, n, grad_fn, val_fn, cfg)
+        best, history = neural.train_loop(params, n, grad_fn, val_fn, cfg, seed=0)
         assert max(history.val_accuracy) == 1.0
         assert history.n_epochs <= 200
 
@@ -327,7 +327,7 @@ class TestTrainLoop:
             l1_lambda=1.0,
             hidden_sizes=(6,),
         )
-        best, _ = neural.train_loop(params, 8, constant_grad_fn(), lambda p: 0.5, cfg)
+        best, _ = neural.train_loop(params, 8, constant_grad_fn(), lambda p: 0.5, cfg, seed=0)
         # weights oscillate within one penalty step of zero by the end
         assert np.abs(params.weights[0]).max() <= 0.011
         assert np.abs(params.weights[0]).max() < start
@@ -347,9 +347,10 @@ class TestTrainLoop:
                 return loss, gradients(p, xs[idx], dout)
 
             cfg = TrainConfig(max_epochs=10, patience=10, batch_size=8, hidden_sizes=(5,))
-            return neural.train_loop(
-                params, 32, grad_fn, lambda p: float(np.mean(np.sign(neural.forward(p, xs)) == ys)), cfg
-            )[1]
+            def val_fn(p):
+                return float(np.mean(np.sign(neural.forward(p, xs)) == ys))
+
+            return neural.train_loop(params, 32, grad_fn, val_fn, cfg, seed=0)[1]
 
         h1, h2 = run(), run()
         assert h1.train_loss == h2.train_loss
@@ -359,7 +360,7 @@ class TestTrainLoop:
         params = neural.init_params([2, 3, 1], seed=8)
         cfg = TrainConfig(max_epochs=5, patience=5, batch_size=4, hidden_sizes=(3,))
         with pytest.raises(NonFiniteLossError, match="learning rate"):
-            neural.train_loop(params, 8, constant_grad_fn(math.nan), lambda p: 0.5, cfg)
+            neural.train_loop(params, 8, constant_grad_fn(math.nan), lambda p: 0.5, cfg, seed=0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -377,7 +378,7 @@ def test_non_finite_gradient_aborts(bad, kind):
     params = neural.init_params([2, 3, 1], seed=8)
     cfg = TrainConfig(max_epochs=5, patience=5, batch_size=4, hidden_sizes=(3,))
     with pytest.raises(NonFiniteLossError, match="gradient"):
-        neural.train_loop(params, 8, nan_grad, lambda p: 0.5, cfg)
+        neural.train_loop(params, 8, nan_grad, lambda p: 0.5, cfg, seed=0)
 
 
 @pytest.mark.parametrize("dtype, big", [(np.float64, 1e308), (np.float32, 1e38)])
@@ -402,5 +403,5 @@ def test_overflowing_step_aborts_before_validation(dtype, big):
         max_epochs=5, patience=5, batch_size=4, learning_rate=10.0, l1_lambda=0.0, hidden_sizes=(3,)
     )
     with pytest.raises(NonFiniteLossError, match="parameters"), np.errstate(over="ignore"):
-        neural.train_loop(params, 8, huge_grad, improving, cfg)
+        neural.train_loop(params, 8, huge_grad, improving, cfg, seed=0)
     assert validated == []

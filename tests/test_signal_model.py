@@ -30,7 +30,6 @@ def make_plain_scenario(
         receivers=rx,
         shadowing_db=np.zeros((2, rx.shape[0])),
         receiver_group=np.arange(rx.shape[0]),
-        seed=0,
     )
 
 
@@ -60,7 +59,7 @@ class TestGenerateScenario:
             (dict(n_locations=1), "n_locations"),
             (dict(path_loss_exponent=0.0), "path_loss_exponent"),
             (dict(shadowing_std_db=-1.0), "shadowing_std_db"),
-            (dict(ts_seconds=0.0), "ts_seconds"),
+            (dict(gain_group_radius_m=-1.0), "gain_group_radius_m"),
             (dict(receiver_positions=()), "receiver_positions"),
         ],
     )
@@ -81,20 +80,21 @@ class TestTrueRss:
     def test_equal_power_sum(self):
         # received signal -90 dBm onto a -90 dBm noise floor
         sc = make_plain_scenario(tx_dbm=-50.0, noise_dbm=-90.0)
-        f = sm.true_rss(sc, 0).values_db[0]
+        f = sm.true_rss(sc, 0)[0]
         assert f == pytest.approx(10 * math.log10(2e-9 * 1e9) - 90, abs=1e-12)
         assert f == pytest.approx(-86.98970004336019, abs=1e-10)
 
     def test_tx_off_gives_noise_floor(self):
         sc = make_plain_scenario(tx_dbm=-math.inf, noise_dbm=-90.0)
-        assert sm.true_rss(sc, 0).values_db[0] == -90.0
+        assert sm.true_rss(sc, 0)[0] == -90.0
 
     def test_matches_straight_line_recomputation(self):
         # independent symbol-by-symbol recomputation of the model
         cfg = sm.ScenarioConfig(n_locations=6, shadowing_std_db=4.0, noise_dbm=-85.0)
         sc = sm.generate_scenario(cfg, seed=11)
         for loc in range(6):
-            got = sm.true_rss(sc, loc).values_db
+            got = sm.true_rss(sc, loc)
+            assert got.shape == (sc.n_channels,)
             for rx in range(sc.n_channels):
                 d = math.sqrt(sum((sc.locations[loc][i] - sc.receivers[rx][i]) ** 2 for i in range(3)))
                 p_rx = (
@@ -170,7 +170,6 @@ class TestEstimateRss:
             location_id=0,
             receiver_id=0,
             samples=np.asarray(samples, dtype=np.complex128),
-            ts_seconds=1.0,
         )
 
     def test_unit_power(self):
@@ -225,7 +224,7 @@ class TestEstimateRssVector:
 
     def test_ergodic_convergence_to_true_rss(self):
         sc = make_plain_scenario(tx_dbm=-50.0, noise_dbm=-92.0)
-        truth = sm.true_rss(sc, 0).values_db
+        truth = sm.true_rss(sc, 0)
         reps = np.array(
             [sm.estimate_rss_vector(sc, 0, 1_000_000, seed=r) for r in range(20)]
         )
@@ -417,7 +416,6 @@ class TestCampaignBits:
             receivers=sc.receivers,
             shadowing_db=shadowing,
             receiver_group=sc.receiver_group,
-            seed=0,
         )
         assert 6 * 2 * 3 <= sm.BLOCK_WINDOWS
         with pytest.raises(DegeneratePowerError, match=r"location 4, receiver 2\)"):

@@ -65,9 +65,9 @@ def backward_from_cache_ref(params, cache, upstream, slope):
     return GradientBundle(weights=g_w, biases=g_b)
 
 
-def sgd_step_ref(params, grads, learning_rate, l1_lambda=0.0, l1_layer=0):
+def sgd_step_ref(params, grads, learning_rate, l1_lambda=0.0):
     for layer, (w, gw) in enumerate(zip(params.weights, grads.weights)):
-        if l1_lambda > 0.0 and layer == l1_layer:
+        if l1_lambda > 0.0 and layer == 0:
             w -= learning_rate * (gw + l1_lambda * np.sign(w))
         else:
             w -= learning_rate * gw
@@ -113,8 +113,8 @@ def train_detector_ref(ms, split, k_train, k_val, cfg, seed, monkeypatch):
         return float(np.count_nonzero((g > 0.0) == val_pairs.labels) / n_val)
 
     monkeypatch.setattr(neural, "sgd_step", sgd_step_ref)
-    loop_cfg = replace(cfg, seed=int(s_shuffle.generate_state(1)[0]))
-    best, history = neural.train_loop(params, n_train, batch_grad, val_acc, loop_cfg)
+    shuffle_seed = int(s_shuffle.generate_state(1)[0])
+    best, history = neural.train_loop(params, n_train, batch_grad, val_acc, cfg, shuffle_seed)
     return best.astype(np.float64), history
 
 
