@@ -1,8 +1,12 @@
 """Walkthrough: pair construction and detector training.
 
-Trains the commutative neural detector on a synthetic campaign and shows
-the decision surface behaving symmetrically.
+Trains the commutative neural detector on a synthetic campaign, saves it
+to a model file and reads it back, decides held-out pairs with the
+model read back, and shows the decision surface behaving symmetrically.
 """
+
+import tempfile
+from pathlib import Path
 
 from rssdetect import (
     ScenarioConfig,
@@ -10,6 +14,8 @@ from rssdetect import (
     build_pair_set,
     decide,
     generate_scenario,
+    load_model,
+    save_model,
     simulate_measurement_set,
     split_locations,
     train_detector,
@@ -33,12 +39,22 @@ model, history = train_detector(
 print(f"trained {history.n_epochs} epochs; best validation accuracy "
       f"{max(history.val_accuracy):.3f} at epoch {history.best_epoch()}")
 
-# score pairs of held-out estimates: pair i is row i of the pair set's arrays,
-# the K SAME pairs first, then the K DIFF pairs
+# the fitted weights are float32, and the model file stores them at that width
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "dnnc.model"
+    save_model(model, path)
+    print(f"model file: {path.stat().st_size} bytes, "
+          f"weights {model.params.weights[0].dtype}")
+    loaded = load_model(path)
+
+# score pairs of held-out estimates with the model read back: pair i is row
+# i of the pair set's arrays, the K SAME pairs first, then the K DIFF pairs;
+# each decision equals the fitted model's bit for bit
 test_pairs = build_pair_set(corpus, split.test_ids, k=1000, seed=5)
 k = test_pairs.k_per_class
 for i in (0, 1, 2, k, k + 1, k + 2):
-    d = decide(model, test_pairs.first[i], test_pairs.second[i])
+    d = decide(loaded, test_pairs.first[i], test_pairs.second[i])
+    assert d == decide(model, test_pairs.first[i], test_pairs.second[i])
     label = "DIFF" if test_pairs.labels[i] else "SAME"
     print(f"  label={label:4s} -> {d.hypothesis.value} "
           f"(statistic {d.statistic:+.2f}, posterior {d.posterior:.3f})")

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import PairSet
-from .detector import Decision, checked_pair
+from .detector import Decision, checked_pair, decide
 from .seeding import as_seed_sequence
 
 
@@ -301,8 +301,9 @@ def dbc_statistic_batch(model: DbcModel, f: np.ndarray, f_prime: np.ndarray):
 
 
 def decide_dbc(model: DbcModel, f: np.ndarray, f_prime: np.ndarray) -> Decision:
-    """H1 iff ||f - f'||_q exceeds the tuned threshold; ties go to H0."""
-    return Decision(float(dbc_statistic_batch(model, f, f_prime)))
+    """H1 iff ||f - f'||_q exceeds the tuned threshold; ties go to H0.
+    One pair of (M,) vectors only, as in :func:`~rssdetect.detector.decide`."""
+    return decide(model, f, f_prime)
 
 
 def kmc_statistic_batch(model: KmcModel, f: np.ndarray, f_prime: np.ndarray):
@@ -317,5 +318,6 @@ def kmc_statistic_batch(model: KmcModel, f: np.ndarray, f_prime: np.ndarray):
 
 
 def decide_kmc(model: KmcModel, f: np.ndarray, f_prime: np.ndarray) -> Decision:
-    """DBC(l2) rule in centroid-distance space; ties go to H0."""
-    return Decision(float(kmc_statistic_batch(model, f, f_prime)))
+    """DBC(l2) rule in centroid-distance space; ties go to H0.
+    One pair of (M,) vectors only, as in :func:`~rssdetect.detector.decide`."""
+    return decide(model, f, f_prime)

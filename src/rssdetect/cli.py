@@ -46,6 +46,14 @@ _KEY_ALIASES = {
     "estimates": ("experiment", "n_estimates"),
     "samples": ("experiment", "n_samples"),
 }
+# the keys the README documents: every field of the three sections except
+# the sections themselves, the master seed (--seed is the only one), the
+# measurement file (--data) and the field names the aliases spell differently
+CONFIG_KEYS = frozenset(
+    (_SCENARIO_FIELDS | _TRAIN_FIELDS | _EXPERIMENT_FIELDS | set(_KEY_ALIASES))
+    - {"scenario", "train", "master_seed", "measurements_path"}
+    - {name for _, name in _KEY_ALIASES.values()}
+)
 
 
 def _parse_value(key: str, raw: str, current):
@@ -100,17 +108,16 @@ def apply_config(cfg: ev.ExperimentConfig, kv: dict[str, str]) -> ev.ExperimentC
     train = cfg.train
     experiment_updates = {}
     for key, raw in kv.items():
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown configuration key {key!r}")
         if key in _KEY_ALIASES:
             section, name = _KEY_ALIASES[key]
         elif key in _SCENARIO_FIELDS:
             section, name = "scenario", key
         elif key in _TRAIN_FIELDS:
             section, name = "train", key
-        # the master seed is --seed, which every command taking a config requires
-        elif key in _EXPERIMENT_FIELDS and key not in ("scenario", "train", "master_seed"):
-            section, name = "experiment", key
         else:
-            raise ConfigError(f"unknown configuration key {key!r}")
+            section, name = "experiment", key
 
         if section == "scenario":
             value = _parse_value(name, raw, getattr(scenario, name))

@@ -14,22 +14,26 @@ transform is affine and invertible, so it changes nothing about the
 hypothesis test, only the conditioning of SGD.
 
 Evaluation (:func:`statistic_batch`, and through it :func:`decide`)
-runs both argument orders of a pair in one forward pass.  Each pair is
-first put in canonical order: the lexicographically smaller standardized
-vector ``lo`` goes first (signed zeros are normalized, so equal vectors
-are equal bytes).  The rows
-``fixed_first_layer(lo, hi)`` and ``fixed_first_layer(hi, lo)`` of up to
-``BLOCK_PAIRS`` pairs are stacked into one batch, so a single decision
-reads each weight matrix once, as a 2-row forward.  The stacked bytes of
-(f, f') and (f', f) are identical, so the statistic is exactly
-commutative whatever the BLAS does: a GEMM's last bits may depend on a
-row's position in the batch and on the row count, but both orders now
-see the same rows in the same places.  The blocking bounds a forward
-pass to 2 * BLOCK_PAIRS rows, so a large batch holds about
-2 * 2 * BLOCK_PAIRS * width floats of activations (8 MB at 512 pairs
-and width 512) however many pairs it scores.  Training keeps its own
-[forward-order; swapped-order] stack, so fits and their histories do not
-depend on this ordering.
+runs the network in its parameters' dtype: float32 for a trained model,
+which keeps its fit's float32 snapshot, float64 for one built on
+:func:`neural.init_params`.  Standardization and ordering stay float64,
+and a standardized input that does not fit in the parameters' dtype
+raises ``ValueError``.  Each pair is put in canonical order: the
+lexicographically smaller standardized vector ``lo`` goes first (signed
+zeros are normalized, so equal vectors are equal bytes).  Its rows
+``fixed_first_layer(lo, hi)`` and ``fixed_first_layer(hi, lo)`` are one
+2-row batch, and :func:`neural.forward` runs B pairs, a (B, 2, 3M) stack,
+as one 2-row GEMM per layer and pair.  A GEMM's last bits may depend on
+a row's position and on the row count, but (f, f') and (f', f) stack the
+same bytes, and each pair's GEMMs have the shape and strides of the pair
+scored alone, so the statistic is exactly commutative and bit-equal
+however the pair is batched.  (One GEMM over 1024 rows is about twice as
+fast on a large batch but, in float32, changes most pairs' last bits.)
+``BLOCK_PAIRS`` only bounds memory: a pass takes at most that many pairs,
+about 2 * 2 * BLOCK_PAIRS * width floats of activations (4 MB at 512
+pairs and width 512 in float32).  Training keeps its own [forward-order;
+swapped-order] stack, so fits and their histories do not depend on this
+ordering.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from .neural import GradientBundle, MlpParams, TrainConfig, TrainHistory
 # pairs; keeps std strictly positive.
 STD_EPSILON = 1e-8
 
-# Pairs per stacked forward pass in statistic_batch (2 rows each).
+# Pairs per forward pass in statistic_batch, a bound on its memory only.
 BLOCK_PAIRS = 512
 
 
@@ -74,7 +78,11 @@ class Decision:
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Trained detector: network weights plus frozen feature statistics."""
+    """Trained detector: network weights plus frozen feature statistics.
+
+    The weights and biases are all float32, as :func:`train_detector`
+    returns them, or all float64; the network runs in that dtype.
+    """
 
     params: MlpParams
     feature_mean: np.ndarray  # (M,)
@@ -82,10 +90,11 @@ class DetectorModel:
     negative_slope: float = 0.01
 
     def __post_init__(self):
-        # decisions run in the parameters' dtype; a float32 model would
-        # quietly decide at lower precision
-        if any(a.dtype != np.float64 for a in (*self.params.weights, *self.params.biases)):
-            raise ValueError("detector parameters must be float64")
+        # decisions run in the parameters' dtype, which must be one float width
+        dtypes = {a.dtype for a in (*self.params.weights, *self.params.biases)}
+        if dtypes not in ({np.dtype(np.float32)}, {np.dtype(np.float64)}):
+            got = sorted(map(str, dtypes))
+            raise ValueError(f"detector parameters must be all float32 or all float64, got {got}")
         m = self.feature_mean.shape[0]
         if m < 1:
             raise ValueError("the model needs at least one feature")
@@ -182,35 +191,50 @@ def _canonical_order(zf: np.ndarray, zp: np.ndarray) -> tuple[np.ndarray, np.nda
 def statistic_batch(model: DetectorModel, f: np.ndarray, f_prime: np.ndarray):
     """Symmetrized statistic for (B, M) batches of pairs, or a float for one pair.
 
-    Each block of up to ``BLOCK_PAIRS`` canonically ordered pairs is one
-    forward pass over both argument orders (see the module docstring).
-    Raises ``ValueError`` on any input :func:`checked_pair` refuses, with
-    M the model's feature count, and on a non-finite statistic (for
-    example from overflowed weights).
+    Each canonically ordered pair is its own 2-row pass over both
+    argument orders, in the parameters' dtype, and the two outputs are
+    averaged in float64 (see the module docstring).  Raises
+    ``ValueError`` on any input :func:`checked_pair` refuses, with M the
+    model's feature count, on a standardized input that does not fit in
+    the parameters' dtype, and on a non-finite statistic (for example
+    from overflowed weights); none of these emits a numpy warning.
     """
     f, f_prime = checked_pair(f, f_prime, model.n_features)
     single = f.ndim == 1
-    # + 0.0 turns -0.0 into +0.0, so vectors that compare equal are equal bytes
-    zf = _standardize(model, np.atleast_2d(f)) + 0.0
-    zp = _standardize(model, np.atleast_2d(f_prime)) + 0.0
-    lo, hi = _canonical_order(zf, zp)
-    n = lo.shape[0]
-    g = np.empty(n)
-    for start in range(0, n, BLOCK_PAIRS):
-        stop = min(start + BLOCK_PAIRS, n)
-        out = neural.forward(
-            model.params, _both_orders(lo[start:stop], hi[start:stop]), model.negative_slope
-        )
-        k = stop - start
-        g[start:stop] = (out[:k] + out[k:]) / 2.0
+    dtype = model.params.weights[0].dtype
+    with np.errstate(over="ignore", invalid="ignore"):
+        # + 0.0 turns -0.0 into +0.0, so vectors that compare equal are equal bytes
+        zf = _standardize(model, np.atleast_2d(f)) + 0.0
+        zp = _standardize(model, np.atleast_2d(f_prime)) + 0.0
+        lo, hi = _canonical_order(zf, zp)
+        rows = np.stack([fixed_first_layer(lo, hi), fixed_first_layer(hi, lo)], axis=1)
+        if not np.abs(rows).max(initial=0.0) <= np.finfo(dtype).max:
+            raise ValueError(f"standardized feature vectors do not fit in {dtype}")
+        rows = rows.astype(dtype)
+        g = np.empty(rows.shape[0])
+        for start in range(0, rows.shape[0], BLOCK_PAIRS):
+            block = rows[start : start + BLOCK_PAIRS]
+            out = neural.forward(model.params, block, model.negative_slope).astype(np.float64)
+            g[start : start + block.shape[0]] = (out[:, 0] + out[:, 1]) / 2.0
     if not np.isfinite(g).all():
         raise ValueError("detector statistic is not finite")
     return float(g[0]) if single else g
 
 
-def decide(model: DetectorModel, f: np.ndarray, f_prime: np.ndarray) -> Decision:
-    """Threshold-0 decision; an exact tie goes to H0."""
-    return Decision(float(statistic_batch(model, f, f_prime)))
+def decide(model, f, f_prime) -> Decision:
+    """Threshold-0 decision of any rule's model on one pair; an exact tie goes to H0.
+
+    ``f`` and ``f_prime`` must be (M,) vectors.  Input the model's
+    ``statistic_batch`` refuses raises its ``ValueError``; a batch it
+    accepts, even of one pair, raises ``ValueError`` naming the shape
+    (score batches with ``statistic_batch``).
+    """
+    g = model.statistic_batch(f, f_prime)
+    if np.ndim(f) != 1:
+        raise ValueError(
+            f"a decision takes one pair of (M,) vectors, got a batch of shape {np.shape(f)}"
+        )
+    return Decision(float(g))
 
 
 def pair_loss(model: DetectorModel, pair_set: PairSet) -> float:
@@ -251,13 +275,10 @@ def _loss_from_stacked(
     return loss, grads
 
 
-def _both_orders(zf: np.ndarray, zp: np.ndarray) -> np.ndarray:
-    """Rows [zf, zp, zf - zp] of every pair, then [zp, zf, zp - zf] of every pair."""
-    return np.concatenate([fixed_first_layer(zf, zp), fixed_first_layer(zp, zf)], axis=0)
-
-
 def _stack_both_orders(model: DetectorModel, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    return _both_orders(_standardize(model, first), _standardize(model, second))
+    """Standardized rows [f, f', f - f'] of every pair, then [f', f, f' - f] of every pair."""
+    zf, zp = _standardize(model, first), _standardize(model, second)
+    return np.concatenate([fixed_first_layer(zf, zp), fixed_first_layer(zp, zf)], axis=0)
 
 
 def pair_loss_grad(model: DetectorModel, pair_set: PairSet) -> tuple[float, GradientBundle]:
@@ -296,8 +317,8 @@ def train_detector(
 
     The standardization and the initial weights are computed in float64;
     the network then trains on float32 copies of the weights and of the
-    standardized train and validation stacks.  The best snapshot is
-    upcast to float64, exactly, so the returned model decides in float64.
+    standardized train and validation stacks.  The returned model holds
+    the best float32 snapshot as it is, so it decides in float32.
     """
     ss = np.random.SeedSequence(seed)
     s_train, s_val, s_init, s_shuffle = ss.spawn(4)
@@ -346,7 +367,7 @@ def train_detector(
     best, history = neural.train_loop(params, n_train, batch_grad, val_acc, cfg, shuffle_seed)
     return (
         DetectorModel(
-            params=best.astype(np.float64),
+            params=best,
             feature_mean=mean,
             feature_std=std,
             negative_slope=cfg.negative_slope,

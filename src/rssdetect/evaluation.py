@@ -26,10 +26,19 @@ float32 (see :func:`detector.train_detector`).  The seeds and streams
 above are unchanged, but every DNNC model, history and report byte
 differs from the float64-training releases.  Synthesis, the DBC/KMC
 baselines and their reports are byte-identical across the bump.
+
+Decision change (float32 decisions): a trained detector now keeps its
+float32 weights and scores in float32, one 2-row pass per pair (see the
+``detector`` module docstring).  Seeds, streams, fits and histories are
+unchanged, so are the weights' values; every DNNC statistic changes in
+its last bits, and a DNNC accuracy in a report changes where a test
+decision flips sign.  Synthesis, the DBC/KMC baselines and their files
+are byte-identical across it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -275,10 +284,18 @@ def emit_report(report: EvalReport, path, raw_path=None) -> None:
             fh.write("\n".join(rlines) + "\n")
 
 
+def _unit_interval(what: str, text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{what} {text!r} outside [0, 1]")
+    return value
+
+
 def _parse_rows(path, header: str, parse) -> list:
-    """``parse(*cells)`` of each data row; a wrong header or cell count, a
-    second ``sweep_var`` (the second cell), a ``ValueError`` from ``parse``
-    or non-UTF-8 bytes raise ``DataFormatError``."""
+    """``parse(*cells)`` of each data row; a wrong header or cell count, an
+    algorithm (the first cell) no sweep runs, a second ``sweep_var`` (the
+    second cell), a ``ValueError`` from ``parse`` or non-UTF-8 bytes raise
+    ``DataFormatError``."""
     lines = [ln for ln in _read_lines(path) if ln.strip()]
     if not lines or lines[0] != header:
         raise DataFormatError(f"{path}: bad header, expected {header!r}")
@@ -289,6 +306,8 @@ def _parse_rows(path, header: str, parse) -> list:
         try:
             if len(cells) != n_cells:
                 raise ValueError(f"expected {n_cells} columns, found {len(cells)}")
+            if cells[0] not in ALGORITHMS + CALIBRATION_ALGORITHMS:
+                raise ValueError(f"unknown algorithm {cells[0]!r}")
             if sweep_var is None:
                 sweep_var = cells[1]
             elif cells[1] != sweep_var:
@@ -300,21 +319,38 @@ def _parse_rows(path, header: str, parse) -> list:
 
 
 def read_report(path) -> list[ReportRow]:
-    """Parse a summary CSV back into rows (raw accuracies not included)."""
+    """Parse a summary CSV back into rows (raw accuracies not included).
+
+    Besides the checks of every report reader, a row is refused unless
+    its mean accuracy lies in [0, 1], it counts at least one iteration,
+    and its std_error is NaN at exactly one iteration and finite and
+    >= 0 otherwise.
+    """
     def parse(alg, var, value, mean, stderr, iters):
-        return ReportRow(alg, var, value, float(mean), float(stderr), int(iters), raw_accuracies=())
+        iterations, std_error = int(iters), float(stderr)
+        if iterations < 1:
+            raise ValueError(f"iterations {iters!r} < 1")
+        if iterations == 1 and not math.isnan(std_error):
+            raise ValueError(f"std_error {stderr!r} of one iteration is not nan")
+        if iterations > 1 and not 0.0 <= std_error < math.inf:
+            raise ValueError(f"std_error {stderr!r} of {iterations} iterations is not finite >= 0")
+        return ReportRow(
+            alg, var, value, _unit_interval("mean_accuracy", mean), std_error, iterations,
+            raw_accuracies=(),
+        )
 
     return _parse_rows(path, REPORT_HEADER, parse)
 
 
 def read_report_raw(path) -> dict[tuple[str, str], list[float]]:
     """Parse a raw CSV into {(algorithm, sweep_value): [accuracy per iteration]};
-    each group's iterations must run 0, 1, ..., R-1 in order."""
+    each group's iterations must run 0, 1, ..., R-1 in order and every
+    accuracy lie in [0, 1]."""
     out: dict[tuple[str, str], list[float]] = {}
 
     def parse(alg, _var, value, r, acc):
+        acc = _unit_interval("accuracy", acc)
         accs = out.setdefault((alg, value), [])
-        acc = float(acc)
         if r != str(len(accs)):
             raise ValueError(f"iteration {r!r} where {len(accs)} is next")
         accs.append(acc)

@@ -4,12 +4,15 @@ Layout (all little-endian):
 
     bytes 0-3   magic  "RSSM"
     bytes 4-7   u32    format version (currently 1)
-    bytes 8-11  4-byte model tag: "DNNC", "DBC1", "DBC2", or "KMC\\0"
+    bytes 8-11  4-byte model tag: "DN32", "DNNC", "DBC1", "DBC2", or "KMC\\0"
     ...         tag-specific payload
 
-DNNC payload: u32 layer count n, u32 sizes[n+1], f64 leaky slope,
+Detector payload: u32 layer count n, u32 sizes[n+1], f64 leaky slope,
 u32 M, f64 mean[M], f64 std[M], then per layer the row-major (out, in)
-weight matrix and the bias vector, all f64.
+weight matrix and the bias vector, in the width the tag names: f32 for
+"DN32" (float32 parameters, as a trained detector holds), f64 for "DNNC"
+(float64 parameters, as every detector file of the releases that decided
+in float64 holds).  Each loads back in its own width, bit for bit.
 
 DBC payload: f64 threshold (the norm order is the tag).
 
@@ -31,20 +34,26 @@ import struct
 import numpy as np
 
 from .benchmarks import DbcModel, KmcModel
-from .detector import Decision, DetectorModel
+from .detector import Decision, DetectorModel, decide
 from .errors import DataFormatError
 from .neural import MlpParams
 
 _MAGIC = b"RSSM"
 _VERSION = 1
 _TAG_DNNC = b"DNNC"
+_TAG_DN32 = b"DN32"
 _TAG_DBC1 = b"DBC1"
 _TAG_DBC2 = b"DBC2"
 _TAG_KMC = b"KMC\0"
 
 
-def _f64(arr) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
+# detector tag -> dtype of its weights and biases
+_DNN_DTYPES = {_TAG_DN32: np.dtype(np.float32), _TAG_DNNC: np.dtype(np.float64)}
+_F64 = np.dtype(np.float64)
+
+
+def _packed(arr, dtype=_F64) -> bytes:
+    return np.ascontiguousarray(arr, dtype=dtype.newbyteorder("<")).tobytes()
 
 
 class _Reader:
@@ -63,8 +72,9 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def f64s(self, n: int, what: str) -> np.ndarray:
-        out = np.frombuffer(self.take(8 * n), dtype="<f8").astype(np.float64)
+    def floats(self, n: int, what: str, dtype=_F64) -> np.ndarray:
+        raw = self.take(dtype.itemsize * n)
+        out = np.frombuffer(raw, dtype=dtype.newbyteorder("<")).astype(dtype)
         if not np.all(np.isfinite(out)):
             raise DataFormatError(f"{self.path}: non-finite {what}")
         return out
@@ -81,16 +91,17 @@ def save_model(model, path) -> None:
     chunks = [_MAGIC, struct.pack("<I", _VERSION)]
     if isinstance(model, DetectorModel):
         sizes = model.params.layer_sizes
-        chunks.append(_TAG_DNNC)
+        dtype = model.params.weights[0].dtype
+        chunks.append(next(tag for tag, d in _DNN_DTYPES.items() if d == dtype))
         chunks.append(struct.pack("<I", model.params.n_layers))
         chunks.append(struct.pack(f"<{len(sizes)}I", *sizes))
         chunks.append(struct.pack("<d", model.negative_slope))
         chunks.append(struct.pack("<I", model.n_features))
-        chunks.append(_f64(model.feature_mean))
-        chunks.append(_f64(model.feature_std))
+        chunks.append(_packed(model.feature_mean))
+        chunks.append(_packed(model.feature_std))
         for w, b in zip(model.params.weights, model.params.biases):
-            chunks.append(_f64(w))
-            chunks.append(_f64(b))
+            chunks.append(_packed(w, dtype))
+            chunks.append(_packed(b, dtype))
     elif isinstance(model, DbcModel):
         chunks.append(_TAG_DBC1 if model.norm_order == 1 else _TAG_DBC2)
         chunks.append(struct.pack("<d", model.threshold))
@@ -98,7 +109,7 @@ def save_model(model, path) -> None:
         kappa, m = model.centroids.shape
         chunks.append(_TAG_KMC)
         chunks.append(struct.pack("<II", kappa, m))
-        chunks.append(_f64(model.centroids))
+        chunks.append(_packed(model.centroids))
         chunks.append(struct.pack("<d", model.threshold))
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
@@ -129,21 +140,22 @@ def _decode(r: _Reader):
     if version != _VERSION:
         raise DataFormatError(f"{path}: unsupported model format version {version}")
     tag = r.take(4)
-    if tag == _TAG_DNNC:
+    if tag in _DNN_DTYPES:
+        dtype = _DNN_DTYPES[tag]
         n_layers = r.u32()
         sizes = [r.u32() for _ in range(n_layers + 1)]
         if n_layers < 1 or sizes[-1] != 1:
             raise DataFormatError(f"{path}: layer sizes {sizes} do not end in one output")
-        slope = float(r.f64s(1, "leaky slope")[0])
+        slope = float(r.floats(1, "leaky slope")[0])
         if not 0.0 <= slope <= 1.0:
             raise DataFormatError(f"{path}: leaky slope {slope} outside [0, 1]")
         m = r.u32()
-        mean = r.f64s(m, "feature mean")
-        std = r.f64s(m, "feature std")
+        mean = r.floats(m, "feature mean")
+        std = r.floats(m, "feature std")
         weights, biases = [], []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            weights.append(r.f64s(fan_in * fan_out, "weights").reshape(fan_out, fan_in))
-            biases.append(r.f64s(fan_out, "biases"))
+            weights.append(r.floats(fan_in * fan_out, "weights", dtype).reshape(fan_out, fan_in))
+            biases.append(r.floats(fan_out, "biases", dtype))
         return DetectorModel(
             params=MlpParams(weights=weights, biases=biases),
             feature_mean=mean,
@@ -155,11 +167,12 @@ def _decode(r: _Reader):
     if tag == _TAG_KMC:
         kappa = r.u32()
         m = r.u32()
-        centroids = r.f64s(kappa * m, "centroids").reshape(kappa, m)
+        centroids = r.floats(kappa * m, "centroids").reshape(kappa, m)
         return KmcModel(centroids=centroids, threshold=r.threshold())
     raise DataFormatError(f"{path}: unknown model tag {tag!r}")
 
 
-def decide_any(model, f, f_prime):
-    """Decide with any model: the threshold-0 rule on its own statistic."""
-    return Decision(float(model.statistic_batch(f, f_prime)))
+def decide_any(model, f, f_prime) -> Decision:
+    """Decide one pair with any model: :func:`detector.decide`, the
+    threshold-0 rule on the model's own statistic; a batch raises ``ValueError``."""
+    return decide(model, f, f_prime)

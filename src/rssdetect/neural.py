@@ -7,11 +7,10 @@ activations and a single linear output neuron.  Weight matrices are
 Every pass computes in the dtype of the parameters
 (``params.weights[0].dtype``): inputs, upstream gradients, workspaces and
 scratch arrays are all cast to it.  :func:`init_params` returns float64
-parameters, and on them every pass runs in float64, which is what
-decisions and the gradient checks use.  The detector trains on a float32
-copy (:meth:`MlpParams.astype`) and upcasts the fitted snapshot back to
-float64, exactly, so a fit is mostly float32 GEMMs while every stored
-model and every decision stays float64.
+parameters, and on them every pass runs in float64, which is what the
+gradient checks use.  The detector trains on a float32 copy
+(:meth:`MlpParams.astype`) and keeps the fitted float32 snapshot, so both
+a fit and a trained model's decisions are float32 GEMMs.
 
 Every pass writes into a :class:`Workspace`: preallocated pre-activation,
 activation, delta, leaky-derivative and gradient buffers for up to a
@@ -22,7 +21,10 @@ the l1 penalty's sign of the narrow first-layer weights).
 :func:`forward_cached` without a workspace runs the same code on a fresh
 one.  A forward pass alone (:func:`forward`) runs it with no workspace,
 on two fresh arrays that every layer reuses: building a workspace per
-call costs about 10 us, a few percent of a one-pair decision.
+call costs about 10 us, a few percent of a one-pair decision.  It also
+takes a stack of batches, (..., B, fan_in): ``np.matmul`` then makes one
+GEMM call per batch, with the shape and strides of that batch passed
+alone, so a batch's outputs do not depend on the stack around it.
 
 Bit-exactness: the in-place kernels give the same bits as the plain
 expressions ``a @ w.T + b``, ``np.where(z > 0, z, s * z)`` and
@@ -220,16 +222,17 @@ def _leaky_relu_backprop(delta: np.ndarray, z: np.ndarray, slope: float, factor:
 
 
 def _forward(params: MlpParams, a: np.ndarray, negative_slope: float, ws: Workspace | None):
-    """(outputs (B,), pre-activations, activations) of a (B, fan_in) batch.
+    """(outputs (...,), pre-activations, activations) of a (..., fan_in) input.
 
-    With a workspace every layer writes into its buffers, which then form
-    the cache.  Without one (a forward pass alone) every layer writes its
+    With a workspace (for (B, fan_in) batches) every layer writes into its
+    buffers, which then form the cache.  Without one (a forward pass alone) every layer writes its
     pre-activations into one fresh array and its activations into
     another, so memory does not grow with depth, and the returned lists
     hold no layer.
     """
     _check_slope(negative_slope)
-    rows = a.shape[0]
+    lead = a.shape[:-1]
+    rows = math.prod(lead)
     if ws is None:
         size = rows * max(w.shape[0] for w in params.weights)
         z_flat, a_flat = np.empty(size, a.dtype), np.empty(size, a.dtype)
@@ -240,31 +243,32 @@ def _forward(params: MlpParams, a: np.ndarray, negative_slope: float, ws: Worksp
     for layer, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
         if ws is None:
             n = rows * w.shape[0]
-            z_buf, a_buf = z_flat[:n].reshape(rows, -1), a_flat[:n].reshape(rows, -1)
+            z_buf, a_buf = z_flat[:n].reshape(*lead, -1), a_flat[:n].reshape(*lead, -1)
         else:
             z_buf, a_buf = ws.pre[layer][:rows], ws.acts[layer][:rows]
             pre.append(z_buf)
             acts.append(a_buf)
         z = _affine(a, w, b, z_buf)
         a = _leaky_relu(z, negative_slope, a_buf)
-    out_buf = np.empty((rows, 1), a.dtype) if ws is None else ws.out[:rows]
-    return _affine(a, params.weights[-1], params.biases[-1], out_buf)[:, 0], pre, acts
+    out_buf = np.empty((*lead, 1), a.dtype) if ws is None else ws.out[:rows]
+    return _affine(a, params.weights[-1], params.biases[-1], out_buf)[..., 0], pre, acts
 
 
 def forward(params: MlpParams, x: np.ndarray, negative_slope: float = 0.01):
     """Evaluate the network.
 
     A 1-D input of length fan_in yields a float; a (B, fan_in) batch
-    yields a (B,) array.  Hidden layers are affine + leaky ReLU; the
-    output layer is affine with a single linear neuron.  The pass runs in
-    the parameters' dtype.
+    yields a (B,) array, and a (..., B, fan_in) stack of batches a
+    (..., B) array, one GEMM per batch (see the module docstring).
+    Hidden layers are affine + leaky ReLU; the output layer is affine
+    with a single linear neuron.  The pass runs in the parameters' dtype.
     """
     x = np.asarray(x, dtype=params.weights[0].dtype)
     single = x.ndim == 1
     a = x[None, :] if single else x
-    if a.shape[1] != params.weights[0].shape[1]:
+    if a.shape[-1] != params.weights[0].shape[1]:
         raise ValueError(
-            f"input width {a.shape[1]} does not match network input {params.weights[0].shape[1]}"
+            f"input width {a.shape[-1]} does not match network input {params.weights[0].shape[1]}"
         )
     out, _, _ = _forward(params, a, negative_slope, None)
     return float(out[0]) if single else out

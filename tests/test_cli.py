@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rssdetect.cli import _KEY_ALIASES, main, parse_config_file, apply_config
+from rssdetect.cli import _KEY_ALIASES, CONFIG_KEYS, main, parse_config_file, apply_config
+from rssdetect.errors import ConfigError
 from rssdetect import evaluation as ev
 from rssdetect.dataset import build_pair_set, load_measurements, split_locations
 from rssdetect.detector import DetectorModel
@@ -326,6 +327,22 @@ def _config_text(value) -> str:
         sep = ";" if value and isinstance(value[0], tuple) else ","
         return sep.join(_config_text(v) for v in value)
     return str(value)
+
+
+def test_config_keys_are_the_readme_table():
+    keys = _readme_config_keys()
+    assert len(keys) == len(set(keys))
+    assert set(keys) == CONFIG_KEYS
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("n_locations", "5"), ("n_estimates", "6"), ("n_samples", "8"), ("measurements_path", "m.csv")],
+)
+def test_second_spellings_of_keys_are_refused(key, value):
+    # the README spells these locations, estimates, samples and --data
+    with pytest.raises(ConfigError, match=f"unknown configuration key {key!r}"):
+        apply_config(ev.ExperimentConfig(), {key: value})
 
 
 @pytest.mark.parametrize("key", _readme_config_keys())

@@ -115,6 +115,17 @@ PLAIN_MODEL = det.DetectorModel(
     feature_std=np.ones(6),
 )
 B = det.BLOCK_PAIRS
+
+
+def as_float32(model: det.DetectorModel) -> det.DetectorModel:
+    """The model with float32 parameters, as ``train_detector`` returns one."""
+    return det.DetectorModel(
+        model.params.astype(np.float32), model.feature_mean, model.feature_std, model.negative_slope
+    )
+
+
+STACK_MODEL32 = as_float32(STACK_MODEL)
+PLAIN_MODEL32 = as_float32(PLAIN_MODEL)
 features = st.one_of(
     st.floats(-1e3, 1e3),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308]),
@@ -122,7 +133,7 @@ features = st.one_of(
 
 
 class TestStackedEvaluation:
-    """One forward over both argument orders, canonically ordered, in blocks."""
+    """One 2-row pass per canonically ordered pair, stacked, in blocks."""
 
     @pytest.mark.parametrize("n", [*range(1, 34), B - 1, B, B + 1, 2 * B + 3])
     def test_batch_swap_is_bit_exact(self, n):
@@ -130,22 +141,27 @@ class TestStackedEvaluation:
         f, fp = rng.normal(size=(n, 6)), rng.normal(size=(n, 6))
         fp[::3] = f[::3]  # identical pairs
         fp[1::3, :-1] = f[1::3, :-1]  # pairs that differ only in the last coordinate
-        g = det.statistic_batch(STACK_MODEL, f, fp)
-        assert np.array_equal(g, det.statistic_batch(STACK_MODEL, fp, f))
-        # swapping only some of the pairs changes no bit either
         swap = rng.random(n) < 0.5
         mixed_f = np.where(swap[:, None], fp, f)
         mixed_fp = np.where(swap[:, None], f, fp)
-        assert np.array_equal(g, det.statistic_batch(STACK_MODEL, mixed_f, mixed_fp))
+        for model in (STACK_MODEL, STACK_MODEL32):
+            g = det.statistic_batch(model, f, fp)
+            assert g.tobytes() == det.statistic_batch(model, fp, f).tobytes()
+            # swapping only some of the pairs changes no bit either
+            assert g.tobytes() == det.statistic_batch(model, mixed_f, mixed_fp).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 7, B - 1, B + 1, 2 * B + 3])
     def test_batch_rows_match_single_pairs(self, n):
+        # every pair of the batch, at every position, has its lone statistic's bits
         rng = np.random.default_rng(100 + n)
         f, fp = rng.normal(size=(n, 6)), rng.normal(size=(n, 6))
-        g = det.statistic_batch(STACK_MODEL, f, fp)
-        rows = np.unique(np.r_[0, n - 1, B - 1 : n : B, B % n, rng.integers(0, n, size=8)])
-        for i in rows:
-            assert g[i] == pytest.approx(det.statistic_batch(STACK_MODEL, f[i], fp[i]), rel=1e-12)
+        for model in (STACK_MODEL, STACK_MODEL32):
+            g = det.statistic_batch(model, f, fp)
+            alone = np.array([det.statistic_batch(model, f[i], fp[i]) for i in range(n)])
+            assert g.tobytes() == alone.tobytes()
+            # the same pairs in another order are the same statistics, reordered
+            order = rng.permutation(n)
+            assert det.statistic_batch(model, f[order], fp[order]).tobytes() == g[order].tobytes()
 
     @given(
         f=hnp.arrays(np.float64, 6, elements=features),
@@ -157,7 +173,7 @@ class TestStackedEvaluation:
             fp = f.copy()
         elif same == "all_but_last":
             fp = np.r_[f[:-1], fp[-1]]
-        for model in (STACK_MODEL, PLAIN_MODEL):
+        for model in (STACK_MODEL, PLAIN_MODEL, STACK_MODEL32, PLAIN_MODEL32):
             g = det.statistic_batch(model, f, fp)
             assert np.float64(g).tobytes() == np.float64(det.statistic_batch(model, fp, f)).tobytes()
 
@@ -180,15 +196,19 @@ class TestStackedEvaluation:
         # equal values whose zeros differ in sign count as one vector
         f[0] = [0.0, -0.0, 1.0, 0.0, -0.0, 2.0]
         fp[0] = [-0.0, 0.0, 1.0, -0.0, 0.0, 2.0]
-        det.statistic_batch(PLAIN_MODEL, f, fp)
-        det.statistic_batch(PLAIN_MODEL, fp, f)
-        first, second = forward_inputs
-        assert first.tobytes() == second.tobytes()
+        for model in (PLAIN_MODEL, PLAIN_MODEL32):
+            det.statistic_batch(model, f, fp)
+            det.statistic_batch(model, fp, f)
+        for first, second in (forward_inputs[:2], forward_inputs[2:]):
+            assert first.tobytes() == second.tobytes()
+        # the network input is cast to the parameters' dtype last
+        assert [x.dtype for x in forward_inputs] == [np.float64] * 2 + [np.float32] * 2
 
     def test_one_forward_per_block(self, forward_inputs):
+        # each forward takes a (pairs, 2, 3M) stack of at most B pairs
         det.statistic_batch(STACK_MODEL, np.zeros(6), np.ones(6))
         det.statistic_batch(STACK_MODEL, np.zeros((2 * B + 3, 6)), np.ones((2 * B + 3, 6)))
-        assert [x.shape[0] for x in forward_inputs] == [2, 2 * B, 2 * B, 6]
+        assert [x.shape for x in forward_inputs] == [(1, 2, 18), (B, 2, 18), (B, 2, 18), (3, 2, 18)]
 
     def test_higher_rank_input_rejected(self):
         with pytest.raises(ValueError, match="batches"):
@@ -361,14 +381,37 @@ def make_separable_corpus(l=14, e=6, m=4, seed=0) -> MeasurementSet:
     return MeasurementSet(values=signatures + noise, location_ids=np.arange(l))
 
 
-def test_float32_params_rejected():
+def test_mixed_dtype_params_rejected():
+    # a model decides in one float width: float32 or float64 throughout
     model = make_model()
-    for part in ("weights", "biases"):
-        params = model.params.copy()
-        arrays = getattr(params, part)
-        arrays[-1] = arrays[-1].astype(np.float32)
-        with pytest.raises(ValueError, match="float64"):
-            det.DetectorModel(params, model.feature_mean, model.feature_std)
+    for base, odd in ((np.float64, np.float32), (np.float32, np.float64)):
+        for part in ("weights", "biases"):
+            params = model.params.astype(base)
+            arrays = getattr(params, part)
+            arrays[-1] = arrays[-1].astype(odd)
+            with pytest.raises(ValueError, match="all float32 or all float64"):
+                det.DetectorModel(params, model.feature_mean, model.feature_std)
+    with pytest.raises(ValueError, match="all float32 or all float64"):
+        det.DetectorModel(model.params.astype(np.float16), model.feature_mean, model.feature_std)
+
+
+def test_standardized_input_outside_float32_refused():
+    # finite, but 1e300 standardizes to a value no float32 holds; float64 scores it
+    big = np.array([1e300, 0.0, 0.0, 0.0])
+    model64 = make_model()
+    model32 = as_float32(model64)
+    assert math.isfinite(det.statistic_batch(model64, big, np.zeros(4)))
+    for f, fp in ((big, np.zeros(4)), (np.zeros((3, 4)), np.stack([np.zeros(4), big, big]))):
+        with pytest.raises(ValueError, match="do not fit in float32"):
+            det.statistic_batch(model32, f, fp)
+        with pytest.raises(ValueError, match="do not fit in float32"):
+            det.statistic_batch(model32, fp, f)
+    # the difference block overflows although both vectors fit
+    with pytest.raises(ValueError, match="do not fit in float32"):
+        det.statistic_batch(as_float32(PLAIN_MODEL), np.full(6, 3e38), np.full(6, -3e38))
+    # and in float64 the same holds at float64's range, without a warning
+    with pytest.raises(ValueError, match="do not fit in float64"):
+        det.statistic_batch(PLAIN_MODEL, np.full(6, 1e308), np.full(6, -1e308))
 
 
 class TestTrainDetector:
@@ -400,19 +443,20 @@ class TestTrainDetector:
         assert model.n_features == 6
         assert history.n_epochs >= 1
 
-    def test_fitted_params_are_float64_and_float32_representable(self, tmp_path):
-        # the fit runs in float32 and upcasts its snapshot, exactly
+    def test_fitted_params_are_float32_and_round_trip(self, tmp_path):
+        # the fit runs in float32 and the model keeps its snapshot as it is
         ms = make_separable_corpus(seed=3)
         split = split_locations(ms, 10, 0.8, seed=4)
         cfg = TrainConfig(hidden_sizes=(8, 8, 8), max_epochs=3, patience=3, batch_size=32)
         model, _ = det.train_detector(ms, split, 100, 40, cfg, seed=5)
         arrays = (*model.params.weights, *model.params.biases)
-        assert all(a.dtype == np.float64 for a in arrays)
-        for a in arrays:
-            assert a.astype(np.float32).astype(np.float64).tobytes() == a.tobytes()
+        assert all(a.dtype == np.float32 for a in arrays)
+        assert model.feature_mean.dtype == model.feature_std.dtype == np.float64
         path = tmp_path / "dnnc.bin"
         modelio.save_model(model, path)
         loaded = modelio.load_model(path)
-        assert [a.tobytes() for a in (*loaded.params.weights, *loaded.params.biases)] == [
-            a.tobytes() for a in arrays
+        assert [(a.dtype, a.tobytes()) for a in (*loaded.params.weights, *loaded.params.biases)] == [
+            (a.dtype, a.tobytes()) for a in arrays
         ]
+        f, fp = ms.values[0, 0], ms.values[1, 0]
+        assert modelio.decide_any(loaded, f, fp) == det.decide(model, f, fp)

@@ -154,6 +154,25 @@ _BAD_RAW = {
     "iteration repeated": ["dbc2,locations,8,0,0.5", "dbc2,locations,8,0,0.75"],
     "iteration skipped": ["dbc2,locations,8,0,0.5", "dbc2,locations,8,2,0.75"],
     "two sweep_vars": ["dbc2,locations,8,0,0.5", "dbc2,features,0+1,0,0.75"],
+    "accuracy above 1": ["dbc2,locations,8,0,1.5"],
+    "accuracy below 0": ["dbc2,locations,8,0,-0.25"],
+    "accuracy nan": ["dbc2,locations,8,0,nan"],
+    "unknown algorithm": ["svm,locations,8,0,0.5"],
+}
+
+# summary rows read_report must refuse although every cell parses on its own
+_BAD_SUMMARY = {
+    "unknown algorithm": "svm,locations,8,0.5,0.01,2",
+    "mean above 1": "dbc2,locations,8,2.0,0.01,2",
+    "mean below 0": "dbc2,locations,8,-0.5,0.01,2",
+    "mean nan": "dbc2,locations,8,nan,0.01,2",
+    "negative std_error": "dbc2,locations,8,0.5,-1,2",
+    "infinite std_error": "dbc2,locations,8,0.5,inf,2",
+    "nan std_error of two iterations": "dbc2,locations,8,0.5,nan,2",
+    "std_error of one iteration": "dbc2,locations,8,0.5,0.0,1",
+    "zero iterations": "dbc2,locations,8,0.5,nan,0",
+    "negative iterations": "dbc2,locations,8,0.5,nan,-1",
+    "every defect at once": "svm,locations,8,2.0,-1,0",
 }
 
 
@@ -165,6 +184,14 @@ def test_raw_report_rows_refused(tmp_path, rows):
         ev.read_report_raw(path)
 
 
+@pytest.mark.parametrize("row", list(_BAD_SUMMARY.values()), ids=list(_BAD_SUMMARY))
+def test_summary_report_rows_refused(tmp_path, row):
+    path = tmp_path / "r.csv"
+    path.write_text("\n".join([ev.REPORT_HEADER, "kmc,locations,8,0.5,nan,1", row]) + "\n")
+    with pytest.raises(DataFormatError, match="row 3"):
+        ev.read_report(path)
+
+
 def test_summary_report_with_two_sweep_vars_refused(tmp_path):
     path = tmp_path / "r.csv"
     rows = ["dbc2,locations,8,0.5,nan,1", "dbc2,features,0+1,0.5,nan,1"]
@@ -173,20 +200,47 @@ def test_summary_report_with_two_sweep_vars_refused(tmp_path):
         ev.read_report(path)
 
 
-@given(
-    raws=st.lists(st.lists(st.floats(), min_size=1, max_size=4), min_size=1, max_size=6),
-    sweep_var=st.sampled_from(["locations", "features"]),
-)
-def test_raw_report_round_trip_exact(raws, sweep_var):
-    # rows alternate between two rules over grid values 0, 1, ...
+# accuracies: any value in [0, 1], with both zeros and the subnormals
+accuracies = st.floats(0.0, 1.0) | st.sampled_from([-0.0, 5e-324, 1.0 - 2**-53])
+
+
+@st.composite
+def reports(draw):
+    """(keys, raw accuracies, EvalReport): rows alternate between two rules
+    over grid values 0, 1, ..., each row's summary as ``_sweep`` computes it."""
+    raws = draw(st.lists(st.lists(accuracies, min_size=1, max_size=4), min_size=1, max_size=6))
+    sweep_var = draw(st.sampled_from(["locations", "features"]))
     keys = [("dbc1" if i % 2 else "kmc", str(i // 2)) for i in range(len(raws))]
-    rows = tuple(
-        ev.ReportRow(alg, sweep_var, value, math.nan, math.nan, len(raw), tuple(raw))
-        for (alg, value), raw in zip(keys, raws)
-    )
+    rows = []
+    for (alg, value), raw in zip(keys, raws):
+        a = np.asarray(raw)
+        stderr = float(a.std(ddof=1) / np.sqrt(a.size)) if a.size > 1 else math.nan
+        rows.append(ev.ReportRow(alg, sweep_var, value, float(a.mean()), stderr, a.size, tuple(raw)))
+    return keys, raws, ev.EvalReport(sweep_var, tuple(rows))
+
+
+@given(report=reports())
+def test_raw_report_round_trip_exact(report):
+    keys, raws, report = report
     with tempfile.TemporaryDirectory() as d:
         summary, raw_path = Path(d) / "r.csv", Path(d) / "r.raw.csv"
-        ev.emit_report(ev.EvalReport(sweep_var, rows), summary, raw_path=raw_path)
+        ev.emit_report(report, summary, raw_path=raw_path)
         back = ev.read_report_raw(raw_path)
     want = {key: [x.hex() for x in raw] for key, raw in zip(keys, raws)}
     assert {key: [x.hex() for x in accs] for key, accs in back.items()} == want
+
+
+@given(report=reports())
+def test_summary_report_round_trip_exact(report):
+    _, _, report = report
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "r.csv"
+        ev.emit_report(report, path)
+        back = ev.read_report(path)
+    def fields(r):
+        return (r.algorithm, r.sweep_var, r.sweep_value, r.mean_accuracy.hex(),
+                r.std_error.hex(), r.iterations)
+
+    assert [fields(r) for r in back] == [fields(r) for r in report.rows]
+    # std_error is NaN exactly when a row has one iteration
+    assert all(math.isnan(r.std_error) == (r.iterations == 1) for r in back)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rssdetect import modelio, neural
-from rssdetect.benchmarks import DbcModel, KmcModel
+from rssdetect.benchmarks import DbcModel, KmcModel, decide_dbc, decide_kmc
 from rssdetect.detector import DetectorModel, decide
 from rssdetect.errors import DataFormatError
 
@@ -32,6 +32,48 @@ def test_detector_round_trip_bit_exact(tmp_path):
         assert np.array_equal(a, b)
     f, fp = rng.normal(size=3), rng.normal(size=3)
     assert decide(back, f, fp).statistic == decide(model, f, fp).statistic
+
+
+def test_float32_detector_file(tmp_path):
+    # a float32 model is saved under its own tag with f32 weights, half the bytes
+    rng = np.random.default_rng(0)
+    params64 = neural.init_params([9, 7, 6, 5, 1], seed=1).astype(np.float32).astype(np.float64)
+    mean, std = rng.normal(size=3), np.abs(rng.normal(size=3)) + 0.1
+    model64 = DetectorModel(params64, mean, std, negative_slope=0.02)
+    model32 = DetectorModel(params64.astype(np.float32), mean, std, negative_slope=0.02)
+    path64, path32 = tmp_path / "dnnc64.model", tmp_path / "dnnc32.model"
+    modelio.save_model(model64, path64)
+    modelio.save_model(model32, path32)
+    data64, data32 = path64.read_bytes(), path32.read_bytes()
+    assert data64[8:12] == b"DNNC" and data32[8:12] == b"DN32"
+    n_params = sum(w.size + b.size for w, b in zip(params64.weights, params64.biases))
+    assert len(data64) - len(data32) == 4 * n_params
+    # everything before the weights is the same bytes
+    assert data32[12:_W0] == data64[12:_W0]
+    back32, back64 = modelio.load_model(path32), modelio.load_model(path64)
+    for a32, b32, a64 in zip(
+        (*back32.params.weights, *back32.params.biases),
+        (*model32.params.weights, *model32.params.biases),
+        (*back64.params.weights, *back64.params.biases),
+    ):
+        assert a32.dtype == np.float32 and a64.dtype == np.float64
+        assert a32.tobytes() == b32.tobytes()
+        assert a32.astype(np.float64).tobytes() == a64.tobytes()
+    f, fp = rng.normal(size=3), rng.normal(size=3)
+    assert modelio.decide_any(back32, f, fp) == modelio.decide_any(model32, f, fp)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_float32_weight(tmp_path, bad):
+    model = DetectorModel(
+        neural.init_params([6, 4, 1], seed=2).astype(np.float32), np.zeros(2), np.ones(2)
+    )
+    path = tmp_path / "dnnc32.model"
+    modelio.save_model(model, path)
+    # 12-byte header, u32 layer count, u32 sizes[3], f64 slope, u32 M, f64 mean[2], f64 std[2]
+    patch(path, 12 + 4 + 12 + 8 + 4 + 32 + 4 * 5, "<f", bad)
+    with pytest.raises(DataFormatError, match="non-finite weights"):
+        modelio.load_model(path)
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -251,11 +293,14 @@ def test_dnnc_rejects_wrong_feature_count(shape):
         modelio.decide_any(model, f, fp)
 
 
-# one model of each rule over M = 4 features; DBC has no feature count to check
+# one model of each rule over M = 4 features; DBC has no feature count to
+# check.  The DNNC has float32 parameters, as a trained one has.
 M = 4
 RULES = {
     "dnnc": DetectorModel(
-        params=neural.init_params([3 * M, 5, 1], seed=3), feature_mean=np.zeros(M), feature_std=np.ones(M)
+        params=neural.init_params([3 * M, 5, 1], seed=3).astype(np.float32),
+        feature_mean=np.zeros(M),
+        feature_std=np.ones(M),
     ),
     "dbc1": DbcModel(norm_order=1, threshold=0.5),
     "dbc2": DbcModel(norm_order=2, threshold=0.5),
@@ -265,8 +310,14 @@ RULES = {
 
 @st.composite
 def refused_pair(draw, rule):
-    """A pair of equal-shape inputs that break exactly one part of the input contract."""
-    breaks = ["rank", "dtype", "non-finite"] + (["feature count"] if rule in ("dnnc", "kmc") else [])
+    """A pair of equal-shape inputs that break exactly one part of the input contract.
+
+    For the DNNC that includes a finite entry whose standardized value
+    does not fit in its float32 parameters.
+    """
+    breaks = ["rank", "dtype", "non-finite"]
+    breaks += ["feature count"] if rule in ("dnnc", "kmc") else []
+    breaks += ["float32 range"] if rule == "dnnc" else []
     broken = draw(st.sampled_from(breaks))
     m = draw(st.integers(1, 7).filter(lambda k: k != M)) if broken == "feature count" else M
     batch = draw(st.sampled_from([(), (1,), (3,)]))
@@ -285,6 +336,10 @@ def refused_pair(draw, rule):
         bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
         target = (f, fp)[draw(st.integers(0, 1))]
         target[tuple(draw(st.integers(0, n - 1)) for n in target.shape)] = bad
+    elif broken == "float32 range":
+        big = draw(st.floats(3.5e38, 1.7e308)) * draw(st.sampled_from([1.0, -1.0]))
+        target = (f, fp)[draw(st.integers(0, 1))]
+        target[tuple(draw(st.integers(0, n - 1)) for n in target.shape)] = big
     return f, fp
 
 
@@ -294,6 +349,21 @@ def test_decide_any_refuses_input_outside_the_contract(rule, data):
     f, fp = data.draw(refused_pair(rule))
     with pytest.raises(ValueError):
         modelio.decide_any(RULES[rule], f, fp)
+
+
+@pytest.mark.parametrize("rule", sorted(RULES))
+@pytest.mark.parametrize("b", [1, 3])
+def test_one_pair_decisions_refuse_batches(rule, b):
+    # a batch scores with statistic_batch; a decision is one pair, even at B = 1
+    model = RULES[rule]
+    f, fp = np.zeros((b, M)), np.ones((b, M))
+    own_decide = {"dbc1": decide_dbc, "dbc2": decide_dbc, "kmc": decide_kmc, "dnnc": decide}[rule]
+    for decide_fn in (modelio.decide_any, decide, own_decide):
+        with pytest.raises(ValueError, match=rf"batch of shape \({b}, {M}\)"):
+            decide_fn(model, f, fp)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            decide_fn(model, f[0], fp)
+    assert model.statistic_batch(f, fp).shape == (b,)
 
 
 @pytest.mark.parametrize("rule", sorted(RULES))

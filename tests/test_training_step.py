@@ -115,7 +115,7 @@ def train_detector_ref(ms, split, k_train, k_val, cfg, seed, monkeypatch):
     monkeypatch.setattr(neural, "sgd_step", sgd_step_ref)
     shuffle_seed = int(s_shuffle.generate_state(1)[0])
     best, history = neural.train_loop(params, n_train, batch_grad, val_acc, cfg, shuffle_seed)
-    return best.astype(np.float64), history
+    return best, history
 
 
 def bits(a) -> bytes:
@@ -257,6 +257,7 @@ def test_train_detector_matches_reference_fit(cfg, monkeypatch):
     split = ds.split_locations(ms, 10, 0.8, seed=3)
     model, history = det.train_detector(ms, split, 40, 10, cfg, seed=4)
     want_params, want_history = train_detector_ref(ms, split, 40, 10, cfg, 4, monkeypatch)
+    assert {a.dtype for a in (*model.params.weights, *want_params.weights)} == {np.dtype(np.float32)}
     assert [bits(a) for a in (*model.params.weights, *model.params.biases)] == [
         bits(a) for a in (*want_params.weights, *want_params.biases)
     ]
