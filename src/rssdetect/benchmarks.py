@@ -23,6 +23,8 @@ from .dataset import PairSet
 from .detector import Decision, checked_pair, decide
 from .seeding import as_seed_sequence
 
+LLOYD_MAX_ITER = 300  # Lloyd iterations before k-means stops short of a fixpoint
+
 
 class ThresholdFit(NamedTuple):
     threshold: float
@@ -174,13 +176,13 @@ def _update_centroids(x: np.ndarray, labels: np.ndarray, centroids: np.ndarray) 
             centroids[c] = x[int(np.argmax(dist2))]
 
 
-def lloyd_kmeans(x: np.ndarray, k: int, seed, max_iter: int = 300) -> KMeansResult:
+def lloyd_kmeans(x: np.ndarray, k: int, seed) -> KMeansResult:
     """Lloyd's algorithm with seeded distinct-point init.
 
     Initial centroids are k distinct data vectors chosen uniformly at
     random.  An update that empties a cluster reseeds its centroid to
     the point currently farthest from its own centroid.  Iterates to an
-    assignment fixpoint or ``max_iter`` iterations.
+    assignment fixpoint or ``LLOYD_MAX_ITER`` iterations.
     """
     x = np.asarray(x, dtype=np.float64)
     uniq = np.unique(x, axis=0)
@@ -194,7 +196,7 @@ def lloyd_kmeans(x: np.ndarray, k: int, seed, max_iter: int = 300) -> KMeansResu
     labels = _assign(x, centroids)
     history = [_wcss(x, centroids, labels)]
     converged = False
-    for _ in range(max_iter):
+    for _ in range(LLOYD_MAX_ITER):
         _update_centroids(x, labels, centroids)
         new_labels = _assign(x, centroids)
         history.append(_wcss(x, centroids, new_labels))
@@ -264,17 +266,12 @@ def _centroid_space_distance(centroids: np.ndarray, f, f_prime) -> np.ndarray:
     ``[f; f']`` is mapped into centroid space once, and the maps are
     gathered back per row.  Each output is the same arithmetic on the same
     row as mapping every row, so the result is bit for bit the row-by-row
-    one.  A single pair is mapped directly, as grouping two rows costs
-    more than it saves.
+    one.
     """
-    if np.ndim(f) == 1:
-        rep_a = centroid_distances(centroids, f)
-        rep_b = centroid_distances(centroids, f_prime)
-    else:
-        rows, inverse = _distinct_rows(np.concatenate([f, f_prime]))
-        rep = centroid_distances(centroids, rows)[inverse]
-        rep_a, rep_b = rep[:len(f)], rep[len(f):]
-    return np.sqrt(((rep_a - rep_b) ** 2).sum(axis=-1))
+    x = np.stack([f, f_prime])
+    rows, inverse = _distinct_rows(x.reshape(-1, x.shape[-1]))
+    rep = centroid_distances(centroids, rows)[inverse].reshape(*x.shape[:-1], len(centroids))
+    return np.sqrt(((rep[0] - rep[1]) ** 2).sum(axis=-1))
 
 
 def train_kmc(ms, train_location_ids, pair_set: PairSet, kappa: int, seed) -> KmcModel:

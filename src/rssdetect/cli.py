@@ -15,7 +15,10 @@ code is nonzero and stderr carries a single line ``error: <message>``.
 
 Configuration files are flat ``key = value`` text (``#`` comments).  See
 the README for the key list; defaults are the headline-experiment
-values.  A config file sets no seed: ``--seed`` is the only one.
+values.  A config file sets no seed: ``--seed`` is the only one.  A flag
+whose ``dest`` is a config key (``--grid`` is ``location_grid``,
+``--subsets`` is ``feature_subsets``) is that key: its value parses
+exactly as the key's does in a file, and overrides the file.
 """
 
 from __future__ import annotations
@@ -36,24 +39,21 @@ from .errors import ConfigError
 from .modelio import decide_any, load_model, save_model
 from .seeding import derive_seed
 
-_SCENARIO_FIELDS = {f.name for f in fields(sm.ScenarioConfig)}
-_TRAIN_FIELDS = {f.name for f in fields(neural.TrainConfig)}
-_EXPERIMENT_FIELDS = {f.name for f in fields(ev.ExperimentConfig)}
-
-# config-file keys that are spelled differently from the dataclass fields
-_KEY_ALIASES = {
-    "locations": ("scenario", "n_locations"),
-    "estimates": ("experiment", "n_estimates"),
-    "samples": ("experiment", "n_samples"),
+# config key -> (section, field): every field of the three sections except
+# the sections themselves, the master seed (--seed is the only one) and the
+# measurement file (--data); three campaign fields have shorter keys
+_SHORT_KEYS = {"n_locations": "locations", "n_estimates": "estimates", "n_samples": "samples"}
+CONFIG_FIELDS = {
+    _SHORT_KEYS.get(f.name, f.name): (section, f.name)
+    for section, cls in (
+        ("scenario", sm.ScenarioConfig),
+        ("train", neural.TrainConfig),
+        ("experiment", ev.ExperimentConfig),
+    )
+    for f in fields(cls)
+    if f.name not in ("scenario", "train", "master_seed", "measurements_path")
 }
-# the keys the README documents: every field of the three sections except
-# the sections themselves, the master seed (--seed is the only one), the
-# measurement file (--data) and the field names the aliases spell differently
-CONFIG_KEYS = frozenset(
-    (_SCENARIO_FIELDS | _TRAIN_FIELDS | _EXPERIMENT_FIELDS | set(_KEY_ALIASES))
-    - {"scenario", "train", "master_seed", "measurements_path"}
-    - {name for _, name in _KEY_ALIASES.values()}
-)
+CONFIG_KEYS = frozenset(CONFIG_FIELDS)
 
 
 def _parse_value(key: str, raw: str, current):
@@ -80,8 +80,6 @@ def _parse_value(key: str, raw: str, current):
             return int(raw)
         if isinstance(current, float):
             return float(raw)
-        if isinstance(current, str) or current is None:
-            return raw
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse value {raw!r} ({exc})") from exc
     raise ConfigError(f"{key}: unsupported config key type")
@@ -103,68 +101,40 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def apply_config(cfg: ev.ExperimentConfig, kv: dict[str, str]) -> ev.ExperimentConfig:
-    """Overlay parsed key/value strings onto an experiment config."""
-    scenario = cfg.scenario
-    train = cfg.train
-    experiment_updates = {}
-    for key, raw in kv.items():
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"unknown configuration key {key!r}")
-        if key in _KEY_ALIASES:
-            section, name = _KEY_ALIASES[key]
-        elif key in _SCENARIO_FIELDS:
-            section, name = "scenario", key
-        elif key in _TRAIN_FIELDS:
-            section, name = "train", key
-        else:
-            section, name = "experiment", key
+    """Overlay parsed key/value strings onto an experiment config.
 
-        if section == "scenario":
-            value = _parse_value(name, raw, getattr(scenario, name))
-            scenario = replace(scenario, **{name: value})
-        elif section == "train":
-            value = _parse_value(name, raw, getattr(train, name))
-            train = replace(train, **{name: value})
+    Scenario and training keys apply one at a time.  Experiment keys apply
+    in one ``replace``, as ``ExperimentConfig`` checks its fields against
+    each other (``location_grid`` against ``algorithms``).
+    """
+    updates = {}  # experiment fields, the scenario and train sections among them
+    for key, raw in kv.items():
+        if key not in CONFIG_FIELDS:
+            raise ConfigError(f"unknown configuration key {key!r}")
+        section, name = CONFIG_FIELDS[key]
+        if section == "experiment":
+            updates[name] = _parse_value(name, raw, getattr(cfg, name))
         else:
-            value = _parse_value(name, raw, getattr(cfg, name))
-            experiment_updates[name] = value
-    return replace(cfg, scenario=scenario, train=train, **experiment_updates)
+            owner = updates.get(section, getattr(cfg, section))
+            updates[section] = replace(owner, **{name: _parse_value(name, raw, getattr(owner, name))})
+    return replace(cfg, **updates)
 
 
 def _experiment_config(args) -> ev.ExperimentConfig:
     cfg = ev.ExperimentConfig()
-    if getattr(args, "config", None):
+    if args.config:
         cfg = apply_config(cfg, parse_config_file(args.config))
-    overrides: dict[str, str] = {}
-    for flag, key in (
-        ("locations", "locations"),
-        ("estimates", "estimates"),
-        ("samples", "samples"),
-        ("iterations", "iterations"),
-        ("algorithms", "algorithms"),
-        ("grid", "location_grid"),
-        ("subsets", "feature_subsets"),
-        ("k_train", "k_train"),
-        ("k_val", "k_val"),
-        ("k_test", "k_test"),
-        ("kappa", "kappa"),
-        ("train_fraction", "train_fraction"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[key] = str(value)
-    if overrides:
-        cfg = apply_config(cfg, overrides)
+    # a flag whose dest is a config key is that key, parsed from its string
+    flags = {k: str(v) for k, v in vars(args).items() if k in CONFIG_FIELDS and v is not None}
+    cfg = apply_config(cfg, flags)
     if getattr(args, "data", None):
         cfg = replace(cfg, measurements_path=args.data)
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, master_seed=args.seed)
-    return cfg
+    return replace(cfg, master_seed=args.seed)
 
 
 def _cmd_generate(args) -> int:
-    # the synthetic corpus of a sweep at the same seed, never a loaded one
-    ms = ev.load_corpus(replace(_experiment_config(args), measurements_path=None))
+    # the synthetic corpus of a sweep at the same seed: generate takes no --data
+    ms = ev.load_corpus(_experiment_config(args))
     save_measurements(ms, args.out, coords_path=args.coords_out)
     print(
         f"wrote {ms.n_locations} locations x {ms.n_estimates} estimates x "
@@ -218,9 +188,8 @@ def _cmd_decide(args) -> int:
     return 0
 
 
-def _cmd_sweep(args, which: str) -> int:
-    cfg = _experiment_config(args)
-    report = ev.sweep_locations(cfg) if which == "locations" else ev.sweep_features(cfg)
+def _cmd_sweep(args) -> int:
+    report = args.sweep(_experiment_config(args))
     raw_path = args.raw_out if args.raw_out else str(args.out) + ".raw.csv"
     ev.emit_report(report, args.out, raw_path=raw_path)
     print(f"wrote {len(report.rows)} report rows to {args.out} (raw: {raw_path})")
@@ -276,6 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--locations", type=int, default=None)
     gen.add_argument("--estimates", type=int, default=None)
     gen.add_argument("--samples", type=int, default=None, help="samples per RSS estimate (N_s)")
+    gen.set_defaults(run=_cmd_generate)
 
     tr = sub.add_parser("train", help="train one algorithm and save a model file")
     tr.add_argument("--data", required=True, help="measurement CSV")
@@ -289,13 +259,18 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--k-val", type=int, default=None, dest="k_val")
     tr.add_argument("--kappa", type=int, default=None)
     tr.add_argument("--train-fraction", type=float, default=None, dest="train_fraction")
+    tr.set_defaults(run=_cmd_train)
 
     dec = sub.add_parser("decide", help="apply a saved model to one pair of feature vectors")
     dec.add_argument("--model", required=True)
     dec.add_argument("--f", required=True, help="comma-separated features of the first estimate")
     dec.add_argument("--f-prime", required=True, dest="f_prime")
+    dec.set_defaults(run=_cmd_decide)
 
-    for which in ("locations", "features"):
+    for which, sweep, flag, key, flag_help in (
+        ("locations", ev.sweep_locations, "--grid", "location_grid", "comma list of location counts"),
+        ("features", ev.sweep_features, "--subsets", "feature_subsets", "semicolon list of channel lists"),
+    ):
         sw = sub.add_parser(f"sweep-{which}", help=f"Monte Carlo accuracy sweep over {which}")
         sw.add_argument("--out", required=True, help="summary report CSV")
         sw.add_argument("--raw-out", default=None, help="per-iteration CSV (default: <out>.raw.csv)")
@@ -304,14 +279,13 @@ def build_parser() -> argparse.ArgumentParser:
         sw.add_argument("--data", default=None, help="measurement CSV (default: synthetic)")
         sw.add_argument("--iterations", type=int, default=None)
         sw.add_argument("--algorithms", default=None, help="comma list, e.g. dnnc,dbc2")
-        if which == "locations":
-            sw.add_argument("--grid", default=None, help="comma list of location counts")
-        else:
-            sw.add_argument("--subsets", default=None, help="semicolon list of channel lists")
-        sw.set_defaults(which=which)
+        # the metavar argparse would derive from the flag's own name
+        sw.add_argument(flag, dest=key, metavar=flag[2:].upper(), help=flag_help)
+        sw.set_defaults(run=_cmd_sweep, sweep=sweep)
 
     chk = sub.add_parser("check", help="run the fast invariant self-test")
     chk.add_argument("--seed", type=int, required=True)
+    chk.set_defaults(run=_cmd_check)
 
     return parser
 
@@ -319,17 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "train":
-            return _cmd_train(args)
-        if args.command == "decide":
-            return _cmd_decide(args)
-        if args.command in ("sweep-locations", "sweep-features"):
-            return _cmd_sweep(args, args.which)
-        if args.command == "check":
-            return _cmd_check(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.run(args)
     except Exception as exc:  # error contract: one parsable line, nonzero exit
         print(f"error: {exc}", file=sys.stderr)
         return 2

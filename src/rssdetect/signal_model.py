@@ -250,21 +250,29 @@ def _check_ids(scenario: Scenario, location_id: int, receiver_id: int | None = N
         raise KeyError(f"unknown receiver id {receiver_id}")
 
 
-def _signal_power_dbm(scenario: Scenario, location_id: int, receiver_id: int) -> float:
+def _signal_power_dbm(scenario: Scenario, location_ids) -> np.ndarray:
+    """Signal-only received power at each location on each channel, in dBm, shape (P, M).
+
+    Each distance is numpy's vector dot kernel, the one ``np.linalg.norm``
+    of a single vector uses, so it is bit for bit that norm; the loss is
+    ``math.log10`` per value.
+    """
     cfg = scenario.config
-    d = float(np.linalg.norm(scenario.locations[location_id] - scenario.receivers[receiver_id]))
+    d = scenario.locations[location_ids, None, :] - scenario.receivers
+    dist = np.sqrt(np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0])
+    loss = [10.0 * cfg.path_loss_exponent * math.log10(v) for v in dist.ravel().tolist()]
     return (
         cfg.tx_power_dbm
         - cfg.reference_loss_db
-        - 10.0 * cfg.path_loss_exponent * math.log10(d)
-        + float(scenario.shadowing_db[location_id, receiver_id])
+        - np.reshape(loss, dist.shape)
+        + scenario.shadowing_db[location_ids]
     )
 
 
 def received_power_dbm(scenario: Scenario, location_id: int, receiver_id: int) -> float:
     """Signal-only received power: tx - loss(d) + shadowing, in dBm."""
     _check_ids(scenario, location_id, receiver_id)
-    return _signal_power_dbm(scenario, location_id, receiver_id)
+    return float(_signal_power_dbm(scenario, [location_id])[0, receiver_id])
 
 
 def true_rss(scenario: Scenario, location_id: int) -> np.ndarray:
@@ -274,13 +282,9 @@ def true_rss(scenario: Scenario, location_id: int) -> np.ndarray:
     f_m = 10*log10(10^(P_rx,m/10) + 10^(noise/10)).
     """
     _check_ids(scenario, location_id)
-    m = scenario.n_channels
     noise_lin = db_to_linear(scenario.config.noise_dbm)
-    values = np.empty(m)
-    for rx in range(m):
-        sig_lin = db_to_linear(received_power_dbm(scenario, location_id, rx))
-        values[rx] = linear_to_db(sig_lin + noise_lin)
-    return values
+    signal_dbm = _signal_power_dbm(scenario, [location_id])[0].tolist()
+    return np.array([linear_to_db(db_to_linear(p) + noise_lin) for p in signal_dbm])
 
 
 def _generators(words: np.ndarray):
@@ -403,9 +407,7 @@ def _estimate_vectors(
     cfg = scenario.config
     m = scenario.n_channels
     n_locations, n_estimates = tails.shape[:2]
-    signal_dbm = np.array(
-        [[_signal_power_dbm(scenario, n, rx) for rx in range(m)] for n in location_ids]
-    )
+    signal_dbm = _signal_power_dbm(scenario, location_ids)
     n_groups = int(scenario.receiver_group.max()) + 1
     words = pcg64_words(parent, tails.reshape(-1, tails.shape[-1])).reshape(-1, m + 1, 4)
     if cfg.gain_drift_std_db > 0.0:

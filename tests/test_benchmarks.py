@@ -544,8 +544,9 @@ class TestCentroidSpaceDistance:
         got = bm._centroid_space_distance(centroids, f, fp)
         assert got.tobytes() == centroid_space_distance_rows(centroids, f, fp).tobytes()
         assert got.tobytes() == centroid_space_distance_all_rows(centroids, f, fp).tobytes()
+        model = bm.KmcModel(centroids, 0.0)
         for i in (0, len(f) - 1):  # a single pair, as one (M,) vector each
-            one = bm._centroid_space_distance(centroids, f[i], fp[i])
+            one = bm.kmc_statistic_batch(model, f[i], fp[i])
             assert np.shape(one) == () and one.tobytes() == got[i].tobytes()
 
     @given(case=kmc_batches())

@@ -1,10 +1,12 @@
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rssdetect.cli import _KEY_ALIASES, CONFIG_KEYS, main, parse_config_file, apply_config
+from rssdetect.cli import CONFIG_FIELDS, CONFIG_KEYS, main, parse_config_file, apply_config
+from rssdetect.cli import _experiment_config, build_parser
 from rssdetect.errors import ConfigError
 from rssdetect import evaluation as ev
 from rssdetect.dataset import build_pair_set, load_measurements, split_locations
@@ -352,7 +354,7 @@ def test_every_readme_config_key_is_accepted(key):
         cfg = apply_config(default, {key: "1.0,2.0,3.0;4.0,5.0,6.0"})
         assert cfg.scenario.receiver_positions == ((1.0, 2.0, 3.0), (4.0, 5.0, 6.0))
         return
-    name = _KEY_ALIASES.get(key, (None, key))[1]
+    name = CONFIG_FIELDS[key][1]
     owner = next(o for o in (default.scenario, default.train, default) if hasattr(o, name))
     # the default written back leaves the whole config unchanged
     assert apply_config(default, {key: _config_text(getattr(owner, name))}) == default
@@ -368,3 +370,60 @@ def test_keys_that_change_no_output_are_refused(tmp_path, capsys, key, value):
     assert captured.out == ""
     assert captured.err == f"error: unknown configuration key {key!r}\n"
     assert not out.exists()
+
+
+def test_grid_below_ten_before_algorithms_without_dnnc_loads(tmp_path):
+    # experiment keys apply together: the grid is checked against the final
+    # algorithms, not the default ones, which include the neural detector
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("location_grid = 5,8\nalgorithms = dbc1,dbc2\n")
+    loaded = apply_config(ev.ExperimentConfig(), parse_config_file(cfg))
+    assert loaded.location_grid == (5, 8) and loaded.algorithms == ("dbc1", "dbc2")
+    args = build_parser().parse_args(
+        ["sweep-locations", "--out", "r.csv", "--seed", "1", "--grid", "5,8", "--algorithms", "dbc1,dbc2"]
+    )
+    assert _experiment_config(args) == replace(loaded, master_seed=1)
+    with pytest.raises(ConfigError, match="location_grid: values below 10"):
+        apply_config(ev.ExperimentConfig(), {"location_grid": "5,8"})
+
+
+# every flag named after a config key: (command, flag, key, value, another value)
+KEY_FLAGS = [
+    ("generate", "--locations", "locations", "17", "20"),
+    ("generate", "--estimates", "estimates", "9", "5"),
+    ("generate", "--samples", "samples", "8", "32"),
+    ("train", "--k-train", "k_train", "90", "70"),
+    ("train", "--k-val", "k_val", "25", "30"),
+    ("train", "--kappa", "kappa", "4", "6"),
+    ("train", "--train-fraction", "train_fraction", "0.75", "0.6"),
+    ("sweep-locations", "--iterations", "iterations", "3", "4"),
+    ("sweep-locations", "--algorithms", "algorithms", "dbc1,kmc", "dbc2"),
+    ("sweep-locations", "--grid", "location_grid", "12,14", "20"),
+    ("sweep-features", "--iterations", "iterations", "3", "4"),
+    ("sweep-features", "--algorithms", "algorithms", "kmc,dnnc", "dbc1"),
+    ("sweep-features", "--subsets", "feature_subsets", "0,1;2,3", "0,4"),
+]
+REQUIRED = {
+    "generate": ["--out", "m.csv", "--seed", "5"],
+    "train": ["--data", "m.csv", "--algorithm", "kmc", "--model-out", "m.model", "--seed", "5"],
+    "sweep-locations": ["--out", "r.csv", "--seed", "5"],
+    "sweep-features": ["--out", "r.csv", "--seed", "5"],
+}
+
+
+@pytest.mark.parametrize("command, flag, key, value, other", KEY_FLAGS)
+def test_key_flag_is_its_config_key(tmp_path, command, flag, key, value, other):
+    def config(*extra, text=None):
+        argv = [command, *REQUIRED[command], *extra]
+        if text is not None:
+            path = tmp_path / "c.cfg"
+            path.write_text(text)
+            argv += ["--config", str(path)]
+        return _experiment_config(build_parser().parse_args(argv))
+
+    from_flag = config(flag, value)
+    assert from_flag != config()
+    assert from_flag == config(text=f"{key} = {value}\n")
+    # the flag overrides the file
+    assert from_flag == config(flag, value, text=f"{key} = {other}\n")
+    assert config(text=f"{key} = {other}\n") != from_flag

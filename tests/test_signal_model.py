@@ -106,6 +106,23 @@ class TestTrueRss:
                 want = 10 * math.log10(10 ** (p_rx / 10) + 10 ** (cfg.noise_dbm / 10))
                 assert got[rx] == pytest.approx(want, abs=1e-9)
 
+    def test_signal_power_bit_equals_per_pair_norm(self):
+        # the batched distances must be np.linalg.norm of each difference, bit for bit
+        cfg = sm.ScenarioConfig(path_loss_exponent=3.1)
+        sc = sm.generate_scenario(cfg, seed=3)
+        want = np.array([
+            [
+                cfg.tx_power_dbm
+                - cfg.reference_loss_db
+                - 10.0 * cfg.path_loss_exponent * math.log10(float(np.linalg.norm(loc - rx)))
+                + float(shadow)
+                for rx, shadow in zip(sc.receivers, shadowing)
+            ]
+            for loc, shadowing in zip(sc.locations, sc.shadowing_db)
+        ])
+        assert sm._signal_power_dbm(sc, np.arange(sc.n_locations)).tobytes() == want.tobytes()
+        assert sm.received_power_dbm(sc, 7, 5) == want[7, 5]
+
     def test_unknown_location(self):
         sc = make_plain_scenario()
         with pytest.raises(KeyError):
