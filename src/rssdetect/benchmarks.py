@@ -39,6 +39,9 @@ class DbcModel:
     def __post_init__(self):
         if self.norm_order not in (1, 2):
             raise ValueError(f"norm_order must be 1 or 2, got {self.norm_order}")
+        # the tuned threshold's -inf/+inf sentinels are valid; NaN is not
+        if np.isnan(self.threshold):
+            raise ValueError("threshold is NaN")
 
     def statistic_batch(self, f, f_prime):
         """The distance margin; see :func:`dbc_statistic_batch`."""
@@ -57,6 +60,10 @@ class KmcModel:
                 f"centroids must be a (kappa, M) array with kappa >= 1 and M >= 1, "
                 f"got shape {np.shape(self.centroids)}"
             )
+        if not np.isfinite(self.centroids).all():
+            raise ValueError("non-finite centroids")
+        if np.isnan(self.threshold):
+            raise ValueError("threshold is NaN")
 
     @property
     def kappa(self) -> int:

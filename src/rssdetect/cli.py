@@ -33,8 +33,7 @@ from . import evaluation as ev
 from . import invariants as inv
 from . import neural
 from . import signal_model as sm
-from .dataset import MeasurementSet, build_pair_set, load_measurements
-from .dataset import save_measurements, split_locations
+from .dataset import MeasurementSet, build_pair_set, load_measurements, save_measurements
 from .errors import ConfigError
 from .modelio import decide_any, load_model, save_model
 from .seeding import derive_seed
@@ -150,10 +149,8 @@ def _cmd_train(args) -> int:
     ms = load_measurements(args.data)
     l_used = args.locations_used if args.locations_used is not None else ms.n_locations
     # the split and pairs of a sweep iteration whose seed is --seed
-    seed = cfg.master_seed
-    split = split_locations(ms, l_used, cfg.train_fraction, seed=derive_seed(seed, 0))
-    train_pairs = build_pair_set(ms, split.train_ids, cfg.k_train, seed=derive_seed(seed, 1))
-    model, history = ev.fit_rule(ms, cfg, args.algorithm, split, train_pairs, seed)
+    split, train_pairs = ev.training_split(ms, cfg, l_used, cfg.master_seed)
+    model, history = ev.fit_rule(ms, cfg, args.algorithm, split, train_pairs, cfg.master_seed)
     if history is not None:
         print(
             f"dnnc: {history.n_epochs} epochs, best validation accuracy "

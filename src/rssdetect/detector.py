@@ -18,16 +18,18 @@ runs the network in its parameters' dtype: float32 for a trained model,
 which keeps its fit's float32 snapshot, float64 for one built on
 :func:`neural.init_params`.  Standardization and ordering stay float64,
 and a standardized input that does not fit in the parameters' dtype
-raises ``ValueError``.  Each pair is put in canonical order: the
-lexicographically smaller standardized vector ``lo`` goes first (signed
-zeros are normalized, so equal vectors are equal bytes).  Its rows
-``fixed_first_layer(lo, hi)`` and ``fixed_first_layer(hi, lo)`` are one
-2-row batch, and :func:`neural.forward` runs B pairs, a (B, 2, 3M) stack,
-as one 2-row GEMM per layer and pair.  A GEMM's last bits may depend on
-a row's position and on the row count, but (f, f') and (f', f) stack the
-same bytes, and each pair's GEMMs have the shape and strides of the pair
-scored alone, so the statistic is exactly commutative and bit-equal
-however the pair is batched.  (One GEMM over 1024 rows is about twice as
+raises ``ValueError``.  B pairs are one (B, 2, M) array, standardized
+once; each pair's two rows are then put in canonical order, the
+lexicographically smaller vector ``lo`` first (signed zeros are
+normalized, so equal vectors are equal bytes).  ``fixed_first_layer``
+of that array and of its row-swapped view gives each pair's rows
+``[lo, hi, lo - hi]`` and ``[hi, lo, hi - lo]`` as one (B, 2, 3M) stack,
+and :func:`neural.forward` runs it as one 2-row GEMM per layer and
+pair.  A GEMM's last bits may depend on a row's position and on the row
+count, but (f, f') and (f', f) stack the same bytes, and each pair's
+GEMMs have the shape and strides of the pair scored alone, so the
+statistic is exactly commutative and bit-equal however the pair is
+batched.  (One GEMM over 1024 rows is about twice as
 fast on a large batch but, in float32, changes most pairs' last bits.)
 ``BLOCK_PAIRS`` only bounds memory: a pass takes at most that many pairs,
 about 2 * 2 * BLOCK_PAIRS * width floats of activations (4 MB at 512
@@ -39,13 +41,13 @@ ordering.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import neural
 from .dataset import MeasurementSet, LocationSplit, PairSet, build_pair_set
-from .neural import GradientBundle, MlpParams, TrainConfig, TrainHistory
+from .neural import MlpParams, TrainConfig, TrainHistory
 
 # Standardization clamp for features that are constant over the training
 # pairs; keeps std strictly positive.
@@ -95,6 +97,22 @@ class DetectorModel:
         if dtypes not in ({np.dtype(np.float32)}, {np.dtype(np.float64)}):
             got = sorted(map(str, dtypes))
             raise ValueError(f"detector parameters must be all float32 or all float64, got {got}")
+        sizes = self.params.layer_sizes
+        shapes = [a.shape for a in (*self.params.weights, *self.params.biases)]
+        if shapes != [(o, i) for i, o in zip(sizes, sizes[1:])] + [(o,) for o in sizes[1:]]:
+            raise ValueError(f"parameter shapes {shapes} do not chain layer sizes {sizes}")
+        if sizes[-1] != 1:
+            raise ValueError(f"layer sizes {sizes} do not end in one output")
+        for what, arrays in (
+            ("weights", self.params.weights),
+            ("biases", self.params.biases),
+            ("feature mean", [self.feature_mean]),
+            ("feature std", [self.feature_std]),
+            ("leaky slope", [self.negative_slope]),
+        ):
+            if not all(np.isfinite(a).all() for a in arrays):
+                raise ValueError(f"non-finite {what}")
+        neural._check_slope(self.negative_slope)
         m = self.feature_mean.shape[0]
         if m < 1:
             raise ValueError("the model needs at least one feature")
@@ -180,14 +198,6 @@ def checked_pair(f, f_prime, n_features=None) -> tuple[np.ndarray, np.ndarray]:
     return f, f_prime
 
 
-def _canonical_order(zf: np.ndarray, zp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) of (B, M) batches: per row, the lexicographically smaller vector first."""
-    first_diff = (zf != zp).argmax(axis=1)  # 0 for equal rows, which keep their order
-    rows = np.arange(zf.shape[0])
-    swap = (zf[rows, first_diff] > zp[rows, first_diff])[:, None]
-    return np.where(swap, zp, zf), np.where(swap, zf, zp)
-
-
 def statistic_batch(model: DetectorModel, f: np.ndarray, f_prime: np.ndarray):
     """Symmetrized statistic for (B, M) batches of pairs, or a float for one pair.
 
@@ -204,10 +214,13 @@ def statistic_batch(model: DetectorModel, f: np.ndarray, f_prime: np.ndarray):
     dtype = model.params.weights[0].dtype
     with np.errstate(over="ignore", invalid="ignore"):
         # + 0.0 turns -0.0 into +0.0, so vectors that compare equal are equal bytes
-        zf = _standardize(model, np.atleast_2d(f)) + 0.0
-        zp = _standardize(model, np.atleast_2d(f_prime)) + 0.0
-        lo, hi = _canonical_order(zf, zp)
-        rows = np.stack([fixed_first_layer(lo, hi), fixed_first_layer(hi, lo)], axis=1)
+        z = _standardize(model, np.stack([f, f_prime], axis=-2).reshape(-1, 2, f.shape[-1])) + 0.0
+        # equal rows keep their order: argmax of all-False is 0
+        first_diff = (z[:, 0] != z[:, 1]).argmax(axis=1)
+        pairs = np.arange(z.shape[0])
+        swap = z[pairs, 0, first_diff] > z[pairs, 1, first_diff]
+        z[swap] = z[swap, ::-1]
+        rows = fixed_first_layer(z, z[:, ::-1])
         if not np.abs(rows).max(initial=0.0) <= np.finfo(dtype).max:
             raise ValueError(f"standardized feature vectors do not fit in {dtype}")
         rows = rows.astype(dtype)
@@ -257,7 +270,7 @@ def _loss_from_stacked(
     labels_h1: np.ndarray,
     slope: float,
     workspace: neural.Workspace | None = None,
-) -> tuple[float, GradientBundle]:
+) -> tuple[float, MlpParams]:
     """Loss/gradient given the pre-built [forward-order; swapped-order] batch.
 
     The symmetrized statistic routes the per-pair upstream gradient
@@ -281,7 +294,7 @@ def _stack_both_orders(model: DetectorModel, first: np.ndarray, second: np.ndarr
     return np.concatenate([fixed_first_layer(zf, zp), fixed_first_layer(zp, zf)], axis=0)
 
 
-def pair_loss_grad(model: DetectorModel, pair_set: PairSet) -> tuple[float, GradientBundle]:
+def pair_loss_grad(model: DetectorModel, pair_set: PairSet) -> tuple[float, MlpParams]:
     """Loss and gradient over a whole pair set, as one [forward; swapped] batch."""
     stacked = _stack_both_orders(model, pair_set.first, pair_set.second)
     return _loss_from_stacked(model.params, stacked, pair_set.labels, model.negative_slope)
@@ -365,12 +378,4 @@ def train_detector(
 
     shuffle_seed = int(s_shuffle.generate_state(1)[0])
     best, history = neural.train_loop(params, n_train, batch_grad, val_acc, cfg, shuffle_seed)
-    return (
-        DetectorModel(
-            params=best,
-            feature_mean=mean,
-            feature_std=std,
-            negative_slope=cfg.negative_slope,
-        ),
-        history,
-    )
+    return replace(model, params=best), history

@@ -125,6 +125,11 @@ class ExperimentConfig:
             raise ConfigError("location_grid: must be nonempty")
         if not self.feature_subsets:
             raise ConfigError("feature_subsets: must be nonempty")
+        # a repeated grid point would write two rows under one label
+        for name in ("location_grid", "feature_subsets"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name}: repeats an entry in {values}")
         if "dnnc" in self.algorithms and min(self.location_grid) < 10:
             raise ConfigError(
                 "location_grid: values below 10 give too few locations to split "
@@ -190,18 +195,27 @@ def fit_rule(
     raise ConfigError(f"algorithms: unknown algorithm {alg!r}")
 
 
+def training_split(
+    ms: MeasurementSet, cfg: ExperimentConfig, l_used: int, iter_seed: int
+) -> tuple[LocationSplit, PairSet]:
+    """The location split (seed path k = 0) of ``l_used`` locations and the
+    benchmark training pairs (k = 1) of the iteration at ``iter_seed``."""
+    split = split_locations(ms, l_used, cfg.train_fraction, seed=derive_seed(iter_seed, 0))
+    train_pairs = build_pair_set(ms, split.train_ids, cfg.k_train, seed=derive_seed(iter_seed, 1))
+    return split, train_pairs
+
+
 def run_iteration(
     ms: MeasurementSet, cfg: ExperimentConfig, l_used: int, iter_seed: int
 ) -> dict[str, float]:
     """Split ``l_used`` locations, build pairs, train every requested
     algorithm, and score it on the test pairs."""
-    split = split_locations(ms, l_used, cfg.train_fraction, seed=derive_seed(iter_seed, 0))
+    split, train_pairs = training_split(ms, cfg, l_used, iter_seed)
     if split.test_ids.size < 2:
         raise ConfigError(
             f"location_grid: {l_used} training locations leave only "
             f"{split.test_ids.size} test locations; need at least 2"
         )
-    train_pairs = build_pair_set(ms, split.train_ids, cfg.k_train, seed=derive_seed(iter_seed, 1))
     test_pairs = build_pair_set(ms, split.test_ids, cfg.k_test, seed=derive_seed(iter_seed, 2))
 
     out: dict[str, float] = {}

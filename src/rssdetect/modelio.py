@@ -21,14 +21,15 @@ f64 threshold.
 
 :func:`load_model` raises ``DataFormatError`` on any file that does not
 decode to a valid model: bad magic, version or tag, truncation, trailing
-bytes, a non-finite weight, bias, mean, std, slope or centroid, a NaN
-threshold (a tuned threshold may be +-inf), ``std <= 0``, a slope
-outside [0, 1], M = 0 features or a KMC payload with kappa = 0.
+bytes, detector layer sizes that do not end in one output, and any value
+the model's class refuses (a non-finite weight, bias, mean, std, slope
+or centroid, a NaN threshold, ``std <= 0``, a slope outside [0, 1],
+weight or bias shapes that do not chain, M = 0 features or kappa = 0).  The classes check those values at
+construction, so every model :func:`save_model` writes loads back.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 
 import numpy as np
@@ -72,19 +73,12 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def floats(self, n: int, what: str, dtype=_F64) -> np.ndarray:
-        raw = self.take(dtype.itemsize * n)
-        out = np.frombuffer(raw, dtype=dtype.newbyteorder("<")).astype(dtype)
-        if not np.all(np.isfinite(out)):
-            raise DataFormatError(f"{self.path}: non-finite {what}")
-        return out
+    def f64(self) -> float:
+        return struct.unpack("<d", self.take(8))[0]
 
-    def threshold(self) -> float:
-        # the tuned threshold's -inf/+inf sentinels are valid; NaN is not
-        t = struct.unpack("<d", self.take(8))[0]
-        if math.isnan(t):
-            raise DataFormatError(f"{self.path}: threshold is NaN")
-        return t
+    def floats(self, n: int, dtype=_F64) -> np.ndarray:
+        raw = self.take(dtype.itemsize * n)
+        return np.frombuffer(raw, dtype=dtype.newbyteorder("<")).astype(dtype)
 
 
 def save_model(model, path) -> None:
@@ -125,7 +119,7 @@ def load_model(path):
         model = _decode(r)
     except DataFormatError:
         raise
-    except ValueError as exc:  # a model invariant, such as std > 0
+    except ValueError as exc:  # a model invariant, such as std > 0 or finite weights
         raise DataFormatError(f"{path}: {exc}") from exc
     if r.off != len(r.data):
         raise DataFormatError(f"{path}: {len(r.data) - r.off} trailing bytes")
@@ -144,18 +138,17 @@ def _decode(r: _Reader):
         dtype = _DNN_DTYPES[tag]
         n_layers = r.u32()
         sizes = [r.u32() for _ in range(n_layers + 1)]
+        # a header check: the body's length follows from the sizes
         if n_layers < 1 or sizes[-1] != 1:
             raise DataFormatError(f"{path}: layer sizes {sizes} do not end in one output")
-        slope = float(r.floats(1, "leaky slope")[0])
-        if not 0.0 <= slope <= 1.0:
-            raise DataFormatError(f"{path}: leaky slope {slope} outside [0, 1]")
+        slope = r.f64()
         m = r.u32()
-        mean = r.floats(m, "feature mean")
-        std = r.floats(m, "feature std")
+        mean = r.floats(m)
+        std = r.floats(m)
         weights, biases = [], []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            weights.append(r.floats(fan_in * fan_out, "weights", dtype).reshape(fan_out, fan_in))
-            biases.append(r.floats(fan_out, "biases", dtype))
+            weights.append(r.floats(fan_in * fan_out, dtype).reshape(fan_out, fan_in))
+            biases.append(r.floats(fan_out, dtype))
         return DetectorModel(
             params=MlpParams(weights=weights, biases=biases),
             feature_mean=mean,
@@ -163,12 +156,12 @@ def _decode(r: _Reader):
             negative_slope=slope,
         )
     if tag in (_TAG_DBC1, _TAG_DBC2):
-        return DbcModel(norm_order=1 if tag == _TAG_DBC1 else 2, threshold=r.threshold())
+        return DbcModel(norm_order=1 if tag == _TAG_DBC1 else 2, threshold=r.f64())
     if tag == _TAG_KMC:
         kappa = r.u32()
         m = r.u32()
-        centroids = r.floats(kappa * m, "centroids").reshape(kappa, m)
-        return KmcModel(centroids=centroids, threshold=r.threshold())
+        centroids = r.floats(kappa * m).reshape(kappa, m)
+        return KmcModel(centroids=centroids, threshold=r.f64())
     raise DataFormatError(f"{path}: unknown model tag {tag!r}")
 
 

@@ -2,7 +2,8 @@
 
 The architecture family is fixed: affine layers with leaky-ReLU
 activations and a single linear output neuron.  Weight matrices are
-(fan_out, fan_in); a batch of inputs is a (B, fan_in) array.
+(fan_out, fan_in); a batch of inputs is a (B, fan_in) array.  Gradients
+are :class:`MlpParams` too, one array per parameter of its shape.
 
 Every pass computes in the dtype of the parameters
 (``params.weights[0].dtype``): inputs, upstream gradients, workspaces and
@@ -49,7 +50,7 @@ from .seeding import as_seed_sequence
 
 @dataclass
 class MlpParams:
-    """Trainable weights and biases, one (W, b) per layer."""
+    """Trainable weights and biases, one (W, b) per layer; also their gradients."""
 
     weights: list  # of (out, in) arrays, all of one float dtype
     biases: list  # of (out,) arrays of the same dtype
@@ -63,10 +64,7 @@ class MlpParams:
         return len(self.weights)
 
     def copy(self) -> "MlpParams":
-        return MlpParams(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return self.astype(self.weights[0].dtype)
 
     def astype(self, dtype) -> "MlpParams":
         """A copy with every array cast to ``dtype``."""
@@ -74,14 +72,6 @@ class MlpParams:
             weights=[w.astype(dtype) for w in self.weights],
             biases=[b.astype(dtype) for b in self.biases],
         )
-
-
-@dataclass
-class GradientBundle:
-    """Per-parameter gradients, shape-identical to the MlpParams they mirror."""
-
-    weights: list
-    biases: list
 
 
 @dataclass(frozen=True)
@@ -192,10 +182,7 @@ class Workspace:
         self.out = np.empty((rows, 1), dtype)
         self.delta = [np.empty((rows, h), dtype) for h in hidden]
         self.factor = np.empty(rows * max(hidden, default=0), dtype)
-        self.grads = GradientBundle(
-            weights=[np.empty_like(w) for w in params.weights],
-            biases=[np.empty_like(b) for b in params.biases],
-        )
+        self.grads = params.copy()  # overwritten by every backward pass
 
 
 def _affine(a: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -295,10 +282,10 @@ def forward_cached(
 
 def backward_from_cache(
     params: MlpParams, cache, upstream: np.ndarray, negative_slope: float = 0.01
-) -> GradientBundle:
+) -> MlpParams:
     """Gradients of sum_i upstream_i * output_i given a forward cache.
 
-    The returned bundle lives in the cache's workspace.
+    The returned gradients live in the cache's workspace.
     """
     _check_slope(negative_slope)
     pre, acts, ws = cache
@@ -325,7 +312,7 @@ def backward_from_cache(
 
 
 def sgd_step(
-    params: MlpParams, grads: GradientBundle, learning_rate: float, l1_lambda: float = 0.0
+    params: MlpParams, grads: MlpParams, learning_rate: float, l1_lambda: float = 0.0
 ) -> MlpParams:
     """One SGD update, in place; returns the updated params.
 
@@ -346,10 +333,10 @@ def sgd_step(
     return params
 
 
-def _all_finite(bundle: GradientBundle | MlpParams) -> bool:
+def _all_finite(params: MlpParams) -> bool:
     # one sum per array: NaN and inf entries propagate into it (a finite
     # array whose sum overflows counts too; training has diverged then)
-    return all(math.isfinite(a.sum()) for a in (*bundle.weights, *bundle.biases))
+    return all(math.isfinite(a.sum()) for a in (*params.weights, *params.biases))
 
 
 def train_loop(
@@ -365,14 +352,19 @@ def train_loop(
     Each epoch shuffles the example indices with a generator seeded by
     ``seed`` (an int or SeedSequence), then walks consecutive
     minibatches through ``batch_grad_fn(params, indices) -> (loss,
-    GradientBundle)`` (both averaged over the batch), then evaluates
-    ``val_accuracy_fn(params)``.  The snapshot with the best validation
-    accuracy is kept (strict improvement, so ties keep the earliest);
-    training stops after ``patience`` epochs without improvement or at
-    ``max_epochs``.  A non-finite loss or gradient, or parameters that are
-    non-finite after an epoch's last step, raise ``NonFiniteLossError``,
-    so no snapshot holds an overflowed weight.
+    gradients)``, the gradients an :class:`MlpParams`, both averaged over
+    the batch, then evaluates ``val_accuracy_fn(params)``.  The snapshot
+    with the best validation accuracy is kept (strict improvement, so
+    ties keep the earliest); training stops after ``patience`` epochs
+    without improvement or at ``max_epochs``.  A non-finite loss or
+    gradient, or parameters that are non-finite after an epoch's last
+    step, raise ``NonFiniteLossError``, so no snapshot holds an
+    overflowed weight.
     """
+
+    def diverged(what: str) -> NonFiniteLossError:
+        return NonFiniteLossError(f"{what}; try a smaller learning rate (currently {cfg.learning_rate})")
+
     rng = np.random.default_rng(as_seed_sequence(seed))
     history = TrainHistory()
     best = params.copy()
@@ -386,23 +378,14 @@ def train_loop(
             idx = order[start : start + cfg.batch_size]
             loss, grads = batch_grad_fn(params, idx)
             if not math.isfinite(loss):
-                raise NonFiniteLossError(
-                    f"training loss became {loss}; try a smaller learning rate "
-                    f"(currently {cfg.learning_rate})"
-                )
+                raise diverged(f"training loss became {loss}")
             if not _all_finite(grads):
-                raise NonFiniteLossError(
-                    f"training gradient became non-finite; try a smaller learning rate "
-                    f"(currently {cfg.learning_rate})"
-                )
+                raise diverged("training gradient became non-finite")
             sgd_step(params, grads, cfg.learning_rate, cfg.l1_lambda)
             loss_sum += loss * idx.size
         # a finite gradient times the learning rate can still overflow
         if not _all_finite(params):
-            raise NonFiniteLossError(
-                f"parameters became non-finite; try a smaller learning rate "
-                f"(currently {cfg.learning_rate})"
-            )
+            raise diverged("parameters became non-finite")
         history.train_loss.append(loss_sum / n_examples)
 
         acc = float(val_accuracy_fn(params))

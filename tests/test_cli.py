@@ -222,6 +222,24 @@ def test_sweep_features_subsets_flag(tmp_path, small_args):
     assert [r.sweep_value for r in rows] == ["0+1", "0+4"]
 
 
+@pytest.mark.parametrize(
+    "command, flag, value, key",
+    [
+        ("sweep-locations", "--grid", "10,10", "location_grid"),
+        ("sweep-features", "--subsets", "0,1;0,1", "feature_subsets"),
+    ],
+)
+def test_repeated_grid_point_is_one_error_line(tmp_path, small_args, capsys, command, flag, value, key):
+    out = tmp_path / "r.csv"
+    argv = [command, "--out", str(out), "--seed", "23", "--config", str(small_args)]
+    assert main(argv + [flag, value, "--algorithms", "dbc2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {key}: repeats")
+    assert not out.exists()
+
+
 def test_check_passes(capsys):
     assert main(["check", "--seed", "5"]) == 0
     assert capsys.readouterr().out == (

@@ -132,6 +132,25 @@ features = st.one_of(
 )
 
 
+def reference_blocks(model: det.DetectorModel, f, f_prime) -> list:
+    """The network inputs of ``statistic_batch`` as built before one (B, 2, M) array.
+
+    f and f' are standardized apart, two ``np.where`` calls order each
+    pair into ``lo`` and ``hi``, and two ``fixed_first_layer`` calls are
+    stacked; then the stack is cast and cut into blocks of ``BLOCK_PAIRS``.
+    """
+    f, f_prime = det.checked_pair(f, f_prime, model.n_features)
+    zf = (np.atleast_2d(f) - model.feature_mean) / model.feature_std + 0.0
+    zp = (np.atleast_2d(f_prime) - model.feature_mean) / model.feature_std + 0.0
+    first_diff = (zf != zp).argmax(axis=1)
+    rows = np.arange(zf.shape[0])
+    swap = (zf[rows, first_diff] > zp[rows, first_diff])[:, None]
+    lo, hi = np.where(swap, zp, zf), np.where(swap, zf, zp)
+    stack = np.stack([det.fixed_first_layer(lo, hi), det.fixed_first_layer(hi, lo)], axis=1)
+    stack = stack.astype(model.params.weights[0].dtype)
+    return [stack[i : i + det.BLOCK_PAIRS] for i in range(0, len(stack), det.BLOCK_PAIRS)]
+
+
 class TestStackedEvaluation:
     """One 2-row pass per canonically ordered pair, stacked, in blocks."""
 
@@ -209,6 +228,23 @@ class TestStackedEvaluation:
         det.statistic_batch(STACK_MODEL, np.zeros(6), np.ones(6))
         det.statistic_batch(STACK_MODEL, np.zeros((2 * B + 3, 6)), np.ones((2 * B + 3, 6)))
         assert [x.shape for x in forward_inputs] == [(1, 2, 18), (B, 2, 18), (B, 2, 18), (3, 2, 18)]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, B + 1])
+    def test_forward_inputs_match_the_two_array_reference(self, forward_inputs, n):
+        rng = np.random.default_rng(200 + n)
+        f, fp = rng.normal(size=(n, 6)), rng.normal(size=(n, 6))
+        fp[::4] = f[::4]  # equal vectors
+        fp[1::4, :3] = f[1::4, :3]  # ties in the three leading features
+        fp[2::4, :-1] = f[2::4, :-1]  # a tie in all but the last feature
+        f[3::4, :2], fp[3::4, :2] = 0.0, -0.0  # equal but for the sign of zero
+        for model in (PLAIN_MODEL, PLAIN_MODEL32, STACK_MODEL, STACK_MODEL32):
+            for a, b in ((f, fp), (fp, f)) + (((f[0], fp[0]), (fp[0], f[0])) if n else ()):
+                forward_inputs.clear()
+                det.statistic_batch(model, a, b)
+                want = reference_blocks(model, a, b)
+                assert [(x.dtype, x.shape, x.tobytes()) for x in forward_inputs] == [
+                    (x.dtype, x.shape, x.tobytes()) for x in want
+                ]
 
     def test_higher_rank_input_rejected(self):
         with pytest.raises(ValueError, match="batches"):

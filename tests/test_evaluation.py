@@ -56,6 +56,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="iterations"):
             small_cfg(iterations=0)
 
+    @pytest.mark.parametrize(
+        "field, values",
+        [
+            ("location_grid", (10, 20, 10)),
+            ("feature_subsets", ((0, 1), (0, 4), (0, 1))),
+        ],
+    )
+    def test_repeated_grid_point_refused(self, field, values):
+        # two cells under one label would write a raw report read_report_raw refuses
+        with pytest.raises(ConfigError, match=f"^{field}: repeats"):
+            small_cfg(**{field: values})
+
 
 class TestRunIteration:
     def test_deterministic(self, corpus):

@@ -374,3 +374,107 @@ def test_empty_batch_scores_to_an_empty_array(rule):
     # the model itself is sound: a valid pair decides
     f, fp = np.zeros(M), np.arange(1.0, M + 1)
     assert modelio.decide_any(model, f, fp).statistic == model.statistic_batch(f, fp)
+
+
+# --- every model that constructs loads back ----------------------------------
+
+
+def _dnnc(**changes) -> DetectorModel:
+    fields = dict(
+        params=neural.init_params([3 * M, 5, 1], seed=3),
+        feature_mean=np.zeros(M),
+        feature_std=np.ones(M),
+    )
+    return DetectorModel(**{**fields, **changes})
+
+
+def _dnnc_with_weight(value) -> DetectorModel:
+    params = neural.init_params([3 * M, 5, 1], seed=3)
+    params.weights[0][1, 2] = value
+    return _dnnc(params=params)
+
+
+def _dnnc_with_layers(sizes, bias_sizes) -> DetectorModel:
+    rng = np.random.default_rng(0)
+    weights = [rng.normal(size=(o, i)) for i, o in sizes]
+    return _dnnc(params=neural.MlpParams(weights, [np.zeros(o) for o in bias_sizes]))
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: _dnnc(params=neural.init_params([3 * M, 5, 2], seed=3)), "one output"),
+        (lambda: _dnnc(negative_slope=2.0), "negative_slope"),
+        (lambda: _dnnc_with_weight(math.inf), "non-finite weights"),
+        (lambda: _dnnc(feature_mean=np.r_[np.zeros(M - 1), math.nan]), "non-finite feature mean"),
+        (lambda: DbcModel(2, math.nan), "threshold is NaN"),
+        (lambda: KmcModel(np.r_[[[0.0] * M], [[math.nan] * M]], 0.5), "non-finite centroids"),
+        (lambda: KmcModel(np.ones((2, M)), math.nan), "threshold is NaN"),
+        # layers that do not chain, and a bias of the wrong length
+        (lambda: _dnnc_with_layers([(3 * M, 5), (7, 4), (4, 1)], [5, 4, 1]), "do not chain"),
+        (lambda: _dnnc_with_layers([(3 * M, 5), (5, 1)], [3, 1]), "do not chain"),
+    ],
+)
+def test_model_that_would_not_load_is_refused_at_construction(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+@st.composite
+def built_model(draw):
+    """The outcome of constructing a model from drawn fields: a model, or
+    the ``ValueError`` its class raised.  Most fields are valid; a drawn
+    few hold a non-finite value, a slope outside [0, 1], a std <= 0, two
+    network outputs, a bias of the wrong length or no centroid."""
+    special = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.0, -1.0])
+    scalar = st.floats(-1e300, 1e300)
+    entry = st.floats(-1e4, 1e4, width=32)  # fits either dtype
+    if draw(st.booleans()):
+        scalar, entry = st.one_of(scalar, special), st.one_of(entry, special)
+
+    def array(shape, dtype=np.float64):
+        a = draw(hnp.arrays(dtype, shape, elements=st.floats(-1e4, 1e4, width=32)))
+        if a.size and draw(st.booleans()):
+            a.reshape(-1)[draw(st.integers(0, a.size - 1))] = draw(entry)
+        return a
+
+    kind = draw(st.sampled_from(["dnnc", "dbc", "kmc"]))
+    try:
+        if kind == "dbc":
+            return DbcModel(draw(st.sampled_from([1, 2])), draw(scalar))
+        if kind == "kmc":
+            kappa, m = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+            return KmcModel(array((kappa, m)), draw(scalar))
+        m = draw(st.integers(1, 3))
+        sizes = [3 * m, *draw(st.lists(st.integers(1, 4), max_size=2)), draw(st.sampled_from([1, 1, 2]))]
+        dtype = draw(st.sampled_from([np.float32, np.float64]))
+        params = neural.MlpParams(
+            weights=[array((o, i), dtype) for i, o in zip(sizes[:-1], sizes[1:])],
+            biases=[array((o + draw(st.sampled_from([0, 0, 0, 1])),), dtype) for o in sizes[1:]],
+        )
+        std = np.abs(array((m,))) + draw(st.sampled_from([0.0, 1e-8, 1.0]))
+        return DetectorModel(params, array((m,)), std, negative_slope=draw(scalar))
+    except ValueError as exc:
+        return exc
+
+
+def _model_bits(model) -> list:
+    if isinstance(model, DetectorModel):
+        arrays = (*model.params.weights, *model.params.biases, model.feature_mean, model.feature_std)
+        scalars = (model.negative_slope,)
+    elif isinstance(model, KmcModel):
+        arrays, scalars = (model.centroids,), (model.threshold,)
+    else:
+        arrays, scalars = (), (model.norm_order, model.threshold)
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays] + [np.float64(s).tobytes() for s in scalars]
+
+
+@given(model=built_model())
+def test_every_model_that_constructs_loads_back_bit_for_bit(tmp_path_factory, model):
+    if isinstance(model, ValueError):
+        return  # refused at construction, so never saved
+    path = tmp_path_factory.mktemp("model") / "m.model"
+    modelio.save_model(model, path)
+    back = modelio.load_model(path)
+    assert type(back) is type(model)
+    assert _model_bits(back) == _model_bits(model)

@@ -5,7 +5,7 @@ import pytest
 
 from rssdetect import neural
 from rssdetect.errors import NonFiniteLossError
-from rssdetect.neural import GradientBundle, MlpParams, TrainConfig
+from rssdetect.neural import MlpParams, TrainConfig
 
 
 def forward_by_loops(params: MlpParams, x: np.ndarray, slope: float) -> float:
@@ -24,7 +24,7 @@ def forward_by_loops(params: MlpParams, x: np.ndarray, slope: float) -> float:
     return a[0]
 
 
-def gradients(params: MlpParams, x, upstream) -> GradientBundle:
+def gradients(params: MlpParams, x, upstream) -> MlpParams:
     """``forward_cached`` + ``backward_from_cache`` on a fresh workspace.
 
     A single input vector takes a scalar upstream; batch gradients are summed.
@@ -190,7 +190,7 @@ class TestSgdStep:
 
     def test_plain_update_when_lambda_zero(self):
         params = self._params()
-        grads = GradientBundle(
+        grads = MlpParams(
             weights=[np.array([[0.2, 0.4]]), np.array([[-1.0]])],
             biases=[np.array([1.0]), np.array([2.0])],
         )
@@ -201,7 +201,7 @@ class TestSgdStep:
 
     def test_pure_penalty_step(self):
         params = self._params()
-        zero = GradientBundle(
+        zero = MlpParams(
             weights=[np.zeros((1, 2)), np.zeros((1, 1))],
             biases=[np.zeros(1), np.zeros(1)],
         )
@@ -214,20 +214,20 @@ class TestSgdStep:
     def test_one_dimensional_quadratic(self):
         # loss (w - 3)^2 / 2, gradient w - 3, lr 0.1, start 0 -> w = 0.3
         params = MlpParams(weights=[np.array([[0.0]])], biases=[np.zeros(1)])
-        grads = GradientBundle(weights=[np.array([[0.0 - 3.0]])], biases=[np.zeros(1)])
+        grads = MlpParams(weights=[np.array([[0.0 - 3.0]])], biases=[np.zeros(1)])
         neural.sgd_step(params, grads, learning_rate=0.1)
         assert params.weights[0][0, 0] == pytest.approx(0.3)
 
     def test_sign_of_zero_is_zero(self):
         params = MlpParams(weights=[np.array([[0.0]])], biases=[np.zeros(1)])
-        zero = GradientBundle(weights=[np.zeros((1, 1))], biases=[np.zeros(1)])
+        zero = MlpParams(weights=[np.zeros((1, 1))], biases=[np.zeros(1)])
         neural.sgd_step(params, zero, learning_rate=0.1, l1_lambda=10.0)
         assert params.weights[0][0, 0] == 0.0
 
 
 def constant_grad_fn(value=0.5):
     def fn(params, idx):
-        zeros = GradientBundle(
+        zeros = MlpParams(
             weights=[np.zeros_like(w) for w in params.weights],
             biases=[np.zeros_like(b) for b in params.biases],
         )
@@ -257,7 +257,7 @@ class TestTrainLoop:
         params = MlpParams(weights=[np.zeros((1, 1))], biases=[np.zeros(1)])
 
         def bump(p, idx):
-            zeros = GradientBundle(weights=[np.full((1, 1), -1.0)], biases=[np.zeros(1)])
+            zeros = MlpParams(weights=[np.full((1, 1), -1.0)], biases=[np.zeros(1)])
             return 0.1, zeros  # sgd adds +lr per batch
 
         seq = iter([0.1, 0.8, 0.3, 0.8, 0.2, 0.1, 0.1, 0.1, 0.1])
@@ -368,7 +368,7 @@ class TestTrainLoop:
 def test_non_finite_gradient_aborts(bad, kind):
     # the loss stays finite, so only the gradient check can catch it
     def nan_grad(params, idx):
-        grads = GradientBundle(
+        grads = MlpParams(
             weights=[np.zeros_like(w) for w in params.weights],
             biases=[np.zeros_like(b) for b in params.biases],
         )
@@ -385,7 +385,7 @@ def test_non_finite_gradient_aborts(bad, kind):
 def test_overflowing_step_aborts_before_validation(dtype, big):
     # the gradient is finite, but learning_rate * gradient overflows in the step
     def huge_grad(params, idx):
-        grads = GradientBundle(
+        grads = MlpParams(
             weights=[np.zeros_like(w) for w in params.weights],
             biases=[np.zeros_like(b) for b in params.biases],
         )

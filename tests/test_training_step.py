@@ -21,7 +21,7 @@ from rssdetect import detector as det
 from rssdetect import neural
 from rssdetect import signal_model as sm
 from rssdetect.evaluation import default_scenario_config
-from rssdetect.neural import GradientBundle, TrainConfig
+from rssdetect.neural import MlpParams, TrainConfig
 
 SLOPES = (0.0, 0.01, 0.5, 1.0)
 
@@ -62,7 +62,7 @@ def backward_from_cache_ref(params, cache, upstream, slope):
         delta = (delta @ params.weights[layer + 1]) * leaky_grad_ref(pre[layer], slope)
         g_w[layer] = delta.T @ acts[layer]
         g_b[layer] = delta.sum(axis=0)
-    return GradientBundle(weights=g_w, biases=g_b)
+    return MlpParams(weights=g_w, biases=g_b)
 
 
 def sgd_step_ref(params, grads, learning_rate, l1_lambda=0.0):
@@ -122,7 +122,7 @@ def bits(a) -> bytes:
     return np.ascontiguousarray(a, dtype=np.float64).tobytes()
 
 
-def bundle_bits(g: GradientBundle) -> list:
+def bundle_bits(g: MlpParams) -> list:
     return [bits(a) for a in (*g.weights, *g.biases)]
 
 
@@ -219,7 +219,7 @@ def test_sgd_step_matches_reference(l1_lambda):
     rng = np.random.default_rng(5)
     params = neural.init_params([4, 6, 1], seed=6)
     params.weights[0][0, :2] = 0.0  # sign(0) = 0
-    grads = GradientBundle(
+    grads = MlpParams(
         weights=[rng.normal(size=w.shape) for w in params.weights],
         biases=[rng.normal(size=b.shape) for b in params.biases],
     )
