@@ -211,11 +211,6 @@ def run_iteration(
     """Split ``l_used`` locations, build pairs, train every requested
     algorithm, and score it on the test pairs."""
     split, train_pairs = training_split(ms, cfg, l_used, iter_seed)
-    if split.test_ids.size < 2:
-        raise ConfigError(
-            f"location_grid: {l_used} training locations leave only "
-            f"{split.test_ids.size} test locations; need at least 2"
-        )
     test_pairs = build_pair_set(ms, split.test_ids, cfg.k_test, seed=derive_seed(iter_seed, 2))
 
     out: dict[str, float] = {}
@@ -233,8 +228,16 @@ def run_iteration(
     return out
 
 
-def _sweep(cfg: ExperimentConfig, sweep_var: str, points) -> EvalReport:
-    """Every cell of a grid of (label, corpus, locations used) points."""
+def _sweep(cfg: ExperimentConfig, sweep_var: str, key: str, points) -> EvalReport:
+    """Every cell of a grid of (label, corpus, locations used) points;
+    ``key`` is the config key that set the locations used."""
+    points = list(points)
+    for _, ms, l_used in points:  # before any fit
+        if not 2 <= l_used <= ms.n_locations - 2:
+            raise ConfigError(
+                f"{key}: {l_used} locations used must be in [2, {ms.n_locations - 2}], "
+                f"leaving at least 2 of {ms.n_locations} to test on"
+            )
     rows = []
     for s, (label, ms, l_used) in enumerate(points):
         per_alg: dict[str, list[float]] = {alg: [] for alg in cfg.algorithms}
@@ -264,7 +267,7 @@ def _sweep(cfg: ExperimentConfig, sweep_var: str, points) -> EvalReport:
 def sweep_locations(cfg: ExperimentConfig) -> EvalReport:
     """Accuracy versus number of locations available for training."""
     ms = load_corpus(cfg)
-    return _sweep(cfg, "locations", ((str(l), ms, l) for l in cfg.location_grid))
+    return _sweep(cfg, "locations", "location_grid", ((str(l), ms, l) for l in cfg.location_grid))
 
 
 def sweep_features(cfg: ExperimentConfig) -> EvalReport:
@@ -274,7 +277,7 @@ def sweep_features(cfg: ExperimentConfig) -> EvalReport:
         ("+".join(map(str, s)), select_features(ms, s), cfg.locations_used_features)
         for s in cfg.feature_subsets
     )
-    return _sweep(cfg, "features", points)
+    return _sweep(cfg, "features", "locations_used_features", points)
 
 
 def emit_report(report: EvalReport, path, raw_path=None) -> None:

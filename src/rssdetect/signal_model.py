@@ -51,11 +51,17 @@ from .seeding import SeedLike, as_seed_sequence, pcg64_random, pcg64_words
 # output depends on it.
 BLOCK_WINDOWS = 1024
 
+# Path loss at 1 m, in dB; only tx_power_dbm minus it enters a received power.
+REFERENCE_LOSS_DB = 40.0
+
+# Tone frequency, in cycles per sample.  With circular white noise it changes
+# which draws an RSS estimate sees, not their distribution, so like a seed it
+# is no config key.
+TONE_CYCLES_PER_SAMPLE = 0.25
+
 
 def db_to_linear(power_db: float) -> float:
     """dBm -> mW. -inf maps to exactly 0."""
-    if power_db == -math.inf:
-        return 0.0
     return 10.0 ** (power_db / 10.0)
 
 
@@ -68,10 +74,11 @@ def linear_to_db(power_linear: float) -> float:
 class ScenarioConfig:
     """Parameters for the synthetic measurement scenario.
 
-    The default receiver layout mimics a small campaign: four groups of
-    four antennas each (16 channels), the antennas of a group packed
-    within ~0.1 m so they see nearly the same path, the groups placed at
-    standoff distance around the transmitter region.
+    The default receiver layout (``receiver_positions`` None) mimics a
+    small campaign: four groups of four antennas each (16 channels) at
+    2 m height, the antennas of a group on a 0.05 m square so they see
+    nearly the same path, the groups centred 12 m from the region centre
+    in both x and y.  Any other layout is written as ``receiver_positions``.
 
     ``gain_drift_std_db`` models per-transmission receiver gain drift
     (AGC/oscillator wander between windows).  One offset is drawn per
@@ -84,19 +91,12 @@ class ScenarioConfig:
     n_locations: int = 52
     region: tuple[tuple[float, float], ...] = ((0.0, 6.0), (0.0, 5.0), (0.5, 1.5))
     receiver_positions: tuple[tuple[float, float, float], ...] | None = None
-    n_receiver_groups: int = 4
-    antennas_per_group: int = 4
-    receiver_standoff_m: float = 12.0
-    antenna_spacing_m: float = 0.05
-    antenna_height_m: float = 2.0
     path_loss_exponent: float = 2.5
-    reference_loss_db: float = 40.0
     shadowing_std_db: float = 6.0
     noise_dbm: float = -90.0
     tx_power_dbm: float = 0.0
     gain_drift_std_db: float = 0.0
     gain_group_radius_m: float = 0.5
-    tone_cycles_per_sample: float = 0.25
 
 
 @dataclass(frozen=True)
@@ -140,16 +140,7 @@ def _validate_config(config: ScenarioConfig) -> None:
     for axis, (lo, hi) in zip("xyz", config.region):
         if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
             raise ConfigError(f"region {axis} bounds must satisfy low < high, got ({lo}, {hi})")
-    if config.receiver_positions is None:
-        if config.n_receiver_groups < 1:
-            raise ConfigError(f"n_receiver_groups must be >= 1, got {config.n_receiver_groups}")
-        if config.antennas_per_group < 1:
-            raise ConfigError(f"antennas_per_group must be >= 1, got {config.antennas_per_group}")
-        if config.receiver_standoff_m <= 0:
-            raise ConfigError(f"receiver_standoff_m must be > 0, got {config.receiver_standoff_m}")
-        if config.antenna_spacing_m <= 0:
-            raise ConfigError(f"antenna_spacing_m must be > 0, got {config.antenna_spacing_m}")
-    elif len(config.receiver_positions) < 1:
+    if config.receiver_positions is not None and len(config.receiver_positions) < 1:
         raise ConfigError("receiver_positions must contain at least one receiver")
     if config.path_loss_exponent <= 0:
         raise ConfigError(f"path_loss_exponent must be > 0, got {config.path_loss_exponent}")
@@ -161,27 +152,17 @@ def _validate_config(config: ScenarioConfig) -> None:
         raise ConfigError(f"gain_group_radius_m must be >= 0, got {config.gain_group_radius_m}")
 
 
-def _default_receiver_layout(config: ScenarioConfig) -> np.ndarray:
-    """Square micro-arrays at standoff distance around the region center."""
-    bounds = np.asarray(config.region, dtype=float)
+def _default_receiver_layout(region) -> np.ndarray:
+    """Four 4-antenna square micro-arrays centred 12 m from the region
+    centre in both x and y, 2 m high, antennas 0.05 m apart."""
+    bounds = np.asarray(region, dtype=float)
     cx, cy = bounds[0].mean(), bounds[1].mean()
-    d = config.receiver_standoff_m
-    group_centers = [(cx - d, cy - d), (cx + d, cy - d), (cx - d, cy + d), (cx + d, cy + d)]
-    while len(group_centers) < config.n_receiver_groups:
-        # additional groups spread along +x
-        k = len(group_centers)
-        group_centers.append((cx + d * (1 + k / 4.0), cy))
-    group_centers = group_centers[: config.n_receiver_groups]
-
-    s = config.antenna_spacing_m
-    offsets = [(-s / 2, -s / 2), (s / 2, -s / 2), (-s / 2, s / 2), (s / 2, s / 2)]
-    positions = []
-    for gx, gy in group_centers:
-        for a in range(config.antennas_per_group):
-            ox, oy = offsets[a % 4]
-            oz = s * (a // 4)  # stack extra antennas vertically
-            positions.append((gx + ox, gy + oy, config.antenna_height_m + oz))
-    return np.asarray(positions, dtype=float)
+    d, h = 12.0, 0.025
+    return np.array([
+        (gx + ox, gy + oy, 2.0)
+        for gx, gy in ((cx - d, cy - d), (cx + d, cy - d), (cx - d, cy + d), (cx + d, cy + d))
+        for ox, oy in ((-h, -h), (h, -h), (-h, h), (h, h))
+    ])
 
 
 def _group_receivers(receivers: np.ndarray, radius: float) -> np.ndarray:
@@ -226,7 +207,7 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
     if config.receiver_positions is not None:
         receivers = np.asarray(config.receiver_positions, dtype=float).reshape(-1, 3)
     else:
-        receivers = _default_receiver_layout(config)
+        receivers = _default_receiver_layout(config.region)
 
     dists = np.linalg.norm(locations[:, None, :] - receivers[None, :, :], axis=2)
     if np.any(dists == 0.0):
@@ -263,7 +244,7 @@ def _signal_power_dbm(scenario: Scenario, location_ids) -> np.ndarray:
     loss = [10.0 * cfg.path_loss_exponent * math.log10(v) for v in dist.ravel().tolist()]
     return (
         cfg.tx_power_dbm
-        - cfg.reference_loss_db
+        - REFERENCE_LOSS_DB
         - np.reshape(loss, dist.shape)
         + scenario.shadowing_db[location_ids]
     )
@@ -321,7 +302,7 @@ def _sample_windows(
 
     k = np.arange(n_samples)
     tone = amplitudes[:, None] * np.exp(
-        1j * (2.0 * math.pi * cfg.tone_cycles_per_sample * k + phases[:, None])
+        1j * (2.0 * math.pi * TONE_CYCLES_PER_SAMPLE * k + phases[:, None])
     )
     noise = 0.0
     if noise_power > 0.0:
@@ -364,11 +345,12 @@ def draw_sample_window(
 ) -> SampleWindow:
     """Draw one window of complex baseband samples, r[k] = h*x[k] + v[k].
 
-    x[k] is a unit-power complex tone at the configured discrete
-    frequency with a random initial phase; |h|^2 equals the linear
-    received signal power (shifted by ``extra_gain_db``, the hook used
-    for per-window receiver gain drift); v[k] is i.i.d. circular
-    Gaussian at the configured noise power.  Deterministic given seed.
+    x[k] is a unit-power complex tone at ``TONE_CYCLES_PER_SAMPLE`` with
+    a random initial phase; |h|^2 equals the linear received signal
+    power shifted by ``extra_gain_db``; v[k] is i.i.d. circular Gaussian
+    at the configured noise power.  Deterministic given seed.  Batched
+    synthesis draws the same window from the same seed (gain drift
+    entering as ``extra_gain_db``) without calling this function.
     """
     p_rx = received_power_dbm(scenario, location_id, receiver_id) + extra_gain_db
     amplitude = np.array([math.sqrt(db_to_linear(p_rx))])

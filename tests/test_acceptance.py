@@ -162,7 +162,7 @@ def test_criterion_7_end_to_end_trend(location_report):
           f"(se {dnnc10.std_error:.3f}), runtime {dt:.0f}s < 900s")
 
 
-def test_criterion_8_feature_locality(location_report):
+def test_criterion_8_feature_locality():
     """Two features from one receiver carry at least as much usable joint
     information as two features from different receivers (soft gate:
     within one standard error)."""

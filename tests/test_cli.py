@@ -240,6 +240,33 @@ def test_repeated_grid_point_is_one_error_line(tmp_path, small_args, capsys, com
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, lines, flags, key",
+    [
+        ("sweep-features", "locations_used_features = 13\n", [], "locations_used_features"),
+        ("sweep-features", "locations_used_features = 1\n", [], "locations_used_features"),
+        ("sweep-locations", "", ["--grid", "10,60"], "location_grid"),
+    ],
+    ids=["features-13", "features-1", "grid-60"],
+)
+def test_locations_used_outside_the_corpus_is_one_error_line(
+    tmp_path, small_args, capsys, monkeypatch, command, lines, flags, key
+):
+    # checked against the 14-location corpus before any iteration runs
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(small_args.read_text() + "\n" + lines)
+    monkeypatch.setattr(ev, "run_iteration", lambda *a: pytest.fail("fitted before the check"))
+    out = tmp_path / "r.csv"
+    argv = [command, "--out", str(out), "--seed", "23", "--config", str(cfg), "--algorithms", "dbc2"]
+    assert main(argv + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {key}: ")
+    assert "must be in [2, 12]" in captured.err
+    assert not out.exists()
+
+
 def test_check_passes(capsys):
     assert main(["check", "--seed", "5"]) == 0
     assert capsys.readouterr().out == (
@@ -378,7 +405,22 @@ def test_every_readme_config_key_is_accepted(key):
     assert apply_config(default, {key: _config_text(getattr(owner, name))}) == default
 
 
-@pytest.mark.parametrize("key, value", [("seed", "1"), ("ts_seconds", "1e-6"), ("master_seed", "3")])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("seed", "1"),
+        ("ts_seconds", "1e-6"),
+        ("master_seed", "3"),
+        # second spellings of receiver_positions, tx_power_dbm and --seed
+        ("n_receiver_groups", "4"),
+        ("antennas_per_group", "4"),
+        ("receiver_standoff_m", "12.0"),
+        ("antenna_spacing_m", "0.05"),
+        ("antenna_height_m", "2.0"),
+        ("reference_loss_db", "40.0"),
+        ("tone_cycles_per_sample", "0.25"),
+    ],
+)
 def test_keys_that_change_no_output_are_refused(tmp_path, capsys, key, value):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f"locations = 5\n{key} = {value}\n")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -101,8 +103,13 @@ class TestRunIteration:
 
     def test_infeasible_split_raises(self, corpus):
         cfg = small_cfg(algorithms=("dbc2",), location_grid=(13,))
-        with pytest.raises(ConfigError, match="test locations"):
+        with pytest.raises(ValueError, match="at least 2 locations"):
             ev.run_iteration(corpus, cfg, 13, iter_seed=8)  # leaves 1 test location
+        # a sweep refuses the point before any iteration, naming its key
+        with pytest.raises(ConfigError, match=r"^location_grid: 13 locations used must be in \[2, 12\]"):
+            ev.sweep_locations(cfg)
+        with pytest.raises(ConfigError, match=r"^locations_used_features: 13 locations used"):
+            ev.sweep_features(replace(cfg, locations_used_features=13))
 
 
 class TestSweeps:

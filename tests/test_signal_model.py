@@ -12,14 +12,13 @@ def make_plain_scenario(
     tx_dbm=-50.0, noise_dbm=-90.0, shadowing=0.0, receivers=((1.0, 0.0, 0.0),)
 ) -> sm.Scenario:
     """Hand-built scenario with zeroed shadowing: loc 0 sits at distance 1 m
-    from receiver 0, so P_rx = tx - reference_loss exactly."""
+    from receiver 0, so P_rx = tx - REFERENCE_LOSS_DB exactly."""
     cfg = sm.ScenarioConfig(
         n_locations=2,
         receiver_positions=receivers,
         tx_power_dbm=tx_dbm,
         noise_dbm=noise_dbm,
         shadowing_std_db=shadowing,
-        reference_loss_db=40.0,
         path_loss_exponent=2.5,
     )
     locations = np.array([[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]])
@@ -75,6 +74,19 @@ class TestGenerateScenario:
             assert len(set(groups[g])) == 1
         assert len({groups[g, 0] for g in range(4)}) == 4
 
+    def test_default_layout_follows_region_centre(self):
+        # a region-only config moves the four 4-antenna groups with the
+        # region centre; heights and drift groups stay
+        base = sm.generate_scenario(sm.ScenarioConfig(), seed=3)
+        moved = sm.generate_scenario(
+            sm.ScenarioConfig(region=((2.0, 10.0), (-3.0, 1.0), (0.0, 0.5))), seed=3
+        )
+        shift = np.array([6.0 - 3.0, -1.0 - 2.5, 0.0])
+        assert np.allclose(moved.receivers, base.receivers + shift, rtol=0.0, atol=1e-12)
+        assert np.all(moved.receivers[:, 2] == 2.0)
+        assert np.array_equal(moved.receiver_group, base.receiver_group)
+        assert np.array_equal(moved.receiver_group, np.repeat(np.arange(4), 4))
+
 
 class TestTrueRss:
     def test_equal_power_sum(self):
@@ -99,7 +111,7 @@ class TestTrueRss:
                 d = math.sqrt(sum((sc.locations[loc][i] - sc.receivers[rx][i]) ** 2 for i in range(3)))
                 p_rx = (
                     cfg.tx_power_dbm
-                    - cfg.reference_loss_db
+                    - sm.REFERENCE_LOSS_DB
                     - 10 * cfg.path_loss_exponent * math.log10(d)
                     + sc.shadowing_db[loc, rx]
                 )
@@ -113,7 +125,7 @@ class TestTrueRss:
         want = np.array([
             [
                 cfg.tx_power_dbm
-                - cfg.reference_loss_db
+                - sm.REFERENCE_LOSS_DB
                 - 10.0 * cfg.path_loss_exponent * math.log10(float(np.linalg.norm(loc - rx)))
                 + float(shadow)
                 for rx, shadow in zip(sc.receivers, shadowing)
@@ -135,7 +147,7 @@ class TestSampleWindow:
     )
     def test_matches_per_window_formula(self, noise_dbm, n_samples):
         # the single-window synthesis written out step by step, draw for draw
-        cfg = sm.ScenarioConfig(n_locations=3, noise_dbm=noise_dbm, tone_cycles_per_sample=0.1)
+        cfg = sm.ScenarioConfig(n_locations=3, noise_dbm=noise_dbm)
         sc = sm.generate_scenario(cfg, seed=4)
         for rx in (0, 5, 15):
             seed = np.random.SeedSequence(rx)
@@ -144,7 +156,7 @@ class TestSampleWindow:
             amplitude = math.sqrt(sm.db_to_linear(sm.received_power_dbm(sc, 2, rx) + 0.7))
             phase = rng.uniform(0.0, 2.0 * math.pi)
             k = np.arange(n_samples)
-            want = amplitude * np.exp(1j * (2.0 * math.pi * 0.1 * k + phase))
+            want = amplitude * np.exp(1j * (2.0 * math.pi * sm.TONE_CYCLES_PER_SAMPLE * k + phase))
             noise = 0.0
             if noise_dbm > -math.inf:
                 scale = math.sqrt(sm.db_to_linear(noise_dbm) / 2.0)
@@ -368,6 +380,26 @@ class TestCampaignBits:
         assert hashlib.sha256(ms.values.tobytes()).hexdigest() == (
             "a59c9045900dda791ee41c4d81ab40d231257e9b7a9b358493dd5e6b34d8c1fd"
         )
+
+    def test_default_layout_as_receiver_positions_keeps_campaign_bytes(self):
+        # the documented default layout, written out as receiver_positions:
+        # 4 x 4 antennas, 2 m high, 0.05 m squares centred 12 m from the
+        # default region's centre (3, 2.5) in both x and y
+        default = sm.generate_scenario(sm.ScenarioConfig(gain_drift_std_db=2.0), seed=6)
+        layout = tuple(
+            (gx + ox, gy + oy, 2.0)
+            for gx, gy in ((-9.0, -9.5), (15.0, -9.5), (-9.0, 14.5), (15.0, 14.5))
+            for ox, oy in ((-0.025, -0.025), (0.025, -0.025), (-0.025, 0.025), (0.025, 0.025))
+        )
+        written = sm.generate_scenario(
+            sm.ScenarioConfig(gain_drift_std_db=2.0, receiver_positions=layout), seed=6
+        )
+        want = sm.simulate_measurement_set(default, n_estimates=3, n_samples=8, seed=7)
+        got = sm.simulate_measurement_set(written, n_estimates=3, n_samples=8, seed=7)
+        assert written.receivers.tobytes() == default.receivers.tobytes()
+        assert np.array_equal(written.receiver_group, default.receiver_group)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.coordinates.tobytes() == want.coordinates.tobytes()
 
     def test_pinned_benchmark_shape_digest(self):
         # SHA-256 of the default 52 x 8 x 16 campaign, taken before
