@@ -148,6 +148,7 @@ def _cmd_train(args) -> int:
     cfg = _experiment_config(args)
     ms = load_measurements(args.data)
     l_used = args.locations_used if args.locations_used is not None else ms.n_locations
+    ev.check_locations_used(ms, cfg, l_used, "--locations-used", n_test=0)
     # the split and pairs of a sweep iteration whose seed is --seed
     split, train_pairs = ev.training_split(ms, cfg, l_used, cfg.master_seed)
     model, history = ev.fit_rule(ms, cfg, args.algorithm, split, train_pairs, cfg.master_seed)

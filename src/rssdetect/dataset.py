@@ -189,22 +189,27 @@ def build_pair_set(
     )
 
 
+def split_sizes(l_used: int, train_fraction: float) -> tuple[int, int]:
+    """(train, validation) location counts of a split of ``l_used`` locations:
+    round(train_fraction * l_used) (ties round up) and the rest."""
+    n_train = int(math.floor(train_fraction * l_used + 0.5))
+    return n_train, l_used - n_train
+
+
 def split_locations(
     ms: MeasurementSet, l_used: int, train_fraction: float, seed: int
 ) -> LocationSplit:
     """Pick l_used locations at random and partition them train/validation.
 
-    Train size is round(train_fraction * l_used) (ties round up); the
-    remaining L - l_used locations form the test part.  Deterministic
-    given seed.
+    The part sizes are :func:`split_sizes`; the remaining L - l_used
+    locations form the test part.  Deterministic given seed.
     """
     l_total = ms.n_locations
     if not 2 <= l_used <= l_total:
         raise ValueError(f"l_used must be in [2, {l_total}], got {l_used}")
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    n_train = int(math.floor(train_fraction * l_used + 0.5))
-    n_val = l_used - n_train
+    n_train, n_val = split_sizes(l_used, train_fraction)
     if n_train < 1 or n_val < 1:
         raise ValueError(
             f"infeasible split: l_used={l_used}, train_fraction={train_fraction} "

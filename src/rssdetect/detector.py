@@ -31,6 +31,10 @@ GEMMs have the shape and strides of the pair scored alone, so the
 statistic is exactly commutative and bit-equal however the pair is
 batched.  (One GEMM over 1024 rows is about twice as
 fast on a large batch but, in float32, changes most pairs' last bits.)
+A lone (M,) pair takes the same steps on one (2, M) array and one
+(1, 2, 3M) row stack, ordered by one scalar compare, so its statistic
+costs its GEMMs plus a few small array operations.  Every buffer is
+allocated per call, so concurrent decisions share only the model.
 ``BLOCK_PAIRS`` only bounds memory: a pass takes at most that many pairs,
 about 2 * 2 * BLOCK_PAIRS * width floats of activations (4 MB at 512
 pairs and width 512 in float32).  Training keeps its own [forward-order;
@@ -41,6 +45,7 @@ ordering.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -210,8 +215,9 @@ def statistic_batch(model: DetectorModel, f: np.ndarray, f_prime: np.ndarray):
     from overflowed weights); none of these emits a numpy warning.
     """
     f, f_prime = checked_pair(f, f_prime, model.n_features)
-    single = f.ndim == 1
     dtype = model.params.weights[0].dtype
+    if f.ndim == 1:
+        return _statistic_one(model, f, f_prime, dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         # + 0.0 turns -0.0 into +0.0, so vectors that compare equal are equal bytes
         z = _standardize(model, np.stack([f, f_prime], axis=-2).reshape(-1, 2, f.shape[-1])) + 0.0
@@ -231,7 +237,28 @@ def statistic_batch(model: DetectorModel, f: np.ndarray, f_prime: np.ndarray):
             g[start : start + block.shape[0]] = (out[:, 0] + out[:, 1]) / 2.0
     if not np.isfinite(g).all():
         raise ValueError("detector statistic is not finite")
-    return float(g[0]) if single else g
+    return g
+
+
+def _statistic_one(model: DetectorModel, f: np.ndarray, f_prime: np.ndarray, dtype) -> float:
+    """:func:`statistic_batch` of one checked (M,) pair, built in one (1, 2, 3M) array."""
+    m = f.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.concatenate((f, f_prime)).reshape(2, m) - model.feature_mean
+        z /= model.feature_std
+        z += 0.0
+        i = (z[0] != z[1]).argmax()
+        z = z[::-1] if z[0, i] > z[1, i] else z
+        rows = np.empty((1, 2, 3 * m))
+        rows[0, :, :m], rows[0, :, m : 2 * m] = z, z[::-1]
+        np.subtract(z, z[::-1], out=rows[0, :, 2 * m :])
+        if not np.abs(rows).max() <= np.finfo(dtype).max:
+            raise ValueError(f"standardized feature vectors do not fit in {dtype}")
+        out = neural.forward(model.params, rows.astype(dtype), model.negative_slope)
+    g = (float(out[0, 0]) + float(out[0, 1])) / 2.0
+    if not math.isfinite(g):
+        raise ValueError("detector statistic is not finite")
+    return g
 
 
 def decide(model, f, f_prime) -> Decision:

@@ -46,7 +46,8 @@ import numpy as np
 from . import benchmarks as bm
 from . import detector as det
 from .dataset import LocationSplit, MeasurementSet, PairSet
-from .dataset import _read_lines, build_pair_set, load_measurements, select_features, split_locations
+from .dataset import _read_lines, build_pair_set, load_measurements, select_features
+from .dataset import split_locations, split_sizes
 from .errors import ConfigError, DataFormatError
 from .neural import TrainConfig, TrainHistory
 from .seeding import derive_seed
@@ -195,6 +196,24 @@ def fit_rule(
     raise ConfigError(f"algorithms: unknown algorithm {alg!r}")
 
 
+def check_locations_used(
+    ms: MeasurementSet, cfg: ExperimentConfig, l_used: int, key: str, n_test: int
+) -> None:
+    """Refuse, naming ``key`` (the config key or flag that set it), a count
+    of ``l_used`` locations that leaves fewer than ``n_test`` of the corpus
+    to test on or that ``cfg.train_fraction`` cannot split."""
+    top = ms.n_locations - n_test
+    if not 2 <= l_used <= top:
+        leaving = f", leaving at least {n_test} of {ms.n_locations} to test on" if n_test else ""
+        raise ConfigError(f"{key}: {l_used} locations used must be in [2, {top}]{leaving}")
+    n_train, n_val = split_sizes(l_used, cfg.train_fraction)
+    if n_train < 1 or n_val < 1:
+        raise ConfigError(
+            f"{key}: {l_used} locations used with train_fraction = {cfg.train_fraction} "
+            f"give {n_train} train / {n_val} validation locations, not at least 1 of each"
+        )
+
+
 def training_split(
     ms: MeasurementSet, cfg: ExperimentConfig, l_used: int, iter_seed: int
 ) -> tuple[LocationSplit, PairSet]:
@@ -233,11 +252,7 @@ def _sweep(cfg: ExperimentConfig, sweep_var: str, key: str, points) -> EvalRepor
     ``key`` is the config key that set the locations used."""
     points = list(points)
     for _, ms, l_used in points:  # before any fit
-        if not 2 <= l_used <= ms.n_locations - 2:
-            raise ConfigError(
-                f"{key}: {l_used} locations used must be in [2, {ms.n_locations - 2}], "
-                f"leaving at least 2 of {ms.n_locations} to test on"
-            )
+        check_locations_used(ms, cfg, l_used, key, n_test=2)
     rows = []
     for s, (label, ms, l_used) in enumerate(points):
         per_alg: dict[str, list[float]] = {alg: [] for alg in cfg.algorithms}

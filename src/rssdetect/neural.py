@@ -20,9 +20,12 @@ minibatch and reuses it on every step, slicing its first rows for a
 short last batch, so a step allocates no layer-sized temporaries (only
 the l1 penalty's sign of the narrow first-layer weights).
 :func:`forward_cached` without a workspace runs the same code on a fresh
-one.  A forward pass alone (:func:`forward`) runs it with no workspace,
-on two fresh arrays that every layer reuses: building a workspace per
-call costs about 10 us, a few percent of a one-pair decision.  It also
+one.  A forward pass alone (:func:`forward`) needs no cache and runs its
+own loop on two fresh flat arrays, each layer writing a contiguous prefix
+of them.  A workspace would cost more than the pass: it holds a gradient
+of every parameter, so building one for a 2-row pass through the default
+48-512-512-512-1 float32 network took about 230 us, more than twice the
+95 us of the whole pass (2-core Xeon VM, numpy 2.4 with OpenBLAS).  It also
 takes a stack of batches, (..., B, fan_in): ``np.matmul`` then makes one
 GEMM call per batch, with the shape and strides of that batch passed
 alone, so a batch's outputs do not depend on the stack around it.
@@ -208,37 +211,23 @@ def _leaky_relu_backprop(delta: np.ndarray, z: np.ndarray, slope: float, factor:
     np.multiply(delta, factor, out=delta)
 
 
-def _forward(params: MlpParams, a: np.ndarray, negative_slope: float, ws: Workspace | None):
-    """(outputs (...,), pre-activations, activations) of a (..., fan_in) input.
+def _forward(params: MlpParams, a: np.ndarray, negative_slope: float, ws: Workspace):
+    """(outputs (B,), pre-activations, activations) of a (B, fan_in) batch.
 
-    With a workspace (for (B, fan_in) batches) every layer writes into its
-    buffers, which then form the cache.  Without one (a forward pass alone) every layer writes its
-    pre-activations into one fresh array and its activations into
-    another, so memory does not grow with depth, and the returned lists
-    hold no layer.
+    Every layer writes into the workspace's buffers, which then form the
+    cache.
     """
     _check_slope(negative_slope)
-    lead = a.shape[:-1]
-    rows = math.prod(lead)
-    if ws is None:
-        size = rows * max(w.shape[0] for w in params.weights)
-        z_flat, a_flat = np.empty(size, a.dtype), np.empty(size, a.dtype)
-    elif rows > ws.rows:
+    rows = a.shape[0]
+    if rows > ws.rows:
         raise ValueError(f"batch of {rows} rows exceeds the workspace's {ws.rows}")
     pre = []
     acts = [a]
     for layer, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
-        if ws is None:
-            n = rows * w.shape[0]
-            z_buf, a_buf = z_flat[:n].reshape(*lead, -1), a_flat[:n].reshape(*lead, -1)
-        else:
-            z_buf, a_buf = ws.pre[layer][:rows], ws.acts[layer][:rows]
-            pre.append(z_buf)
-            acts.append(a_buf)
-        z = _affine(a, w, b, z_buf)
-        a = _leaky_relu(z, negative_slope, a_buf)
-    out_buf = np.empty((*lead, 1), a.dtype) if ws is None else ws.out[:rows]
-    return _affine(a, params.weights[-1], params.biases[-1], out_buf)[..., 0], pre, acts
+        pre.append(_affine(a, w, b, ws.pre[layer][:rows]))
+        a = _leaky_relu(pre[-1], negative_slope, ws.acts[layer][:rows])
+        acts.append(a)
+    return _affine(a, params.weights[-1], params.biases[-1], ws.out[:rows])[:, 0], pre, acts
 
 
 def forward(params: MlpParams, x: np.ndarray, negative_slope: float = 0.01):
@@ -257,7 +246,23 @@ def forward(params: MlpParams, x: np.ndarray, negative_slope: float = 0.01):
         raise ValueError(
             f"input width {a.shape[-1]} does not match network input {params.weights[0].shape[1]}"
         )
-    out, _, _ = _forward(params, a, negative_slope, None)
+    _check_slope(negative_slope)
+    # every layer writes a contiguous prefix of one of two flat arrays (a
+    # layer as wide as the last one reuses its views): its pre-activations
+    # into z_flat, its activations into a_flat; the output gets its own
+    # array, so a returned batch does not hold the scratch arrays
+    lead = a.shape[:-1]
+    rows = a.size // a.shape[-1]
+    size = rows * max(w.shape[0] for w in params.weights)
+    z_flat, a_flat = np.empty(size, a.dtype), np.empty(size, a.dtype)
+    width = 0
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        if w.shape[0] != width:
+            width = w.shape[0]
+            z_buf = z_flat[: rows * width].reshape(*lead, width)
+            a_buf = a_flat[: rows * width].reshape(*lead, width)
+        a = _leaky_relu(_affine(a, w, b, z_buf), negative_slope, a_buf)
+    out = _affine(a, params.weights[-1], params.biases[-1], np.empty((*lead, 1), a.dtype))[..., 0]
     return float(out[0]) if single else out
 
 

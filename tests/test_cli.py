@@ -240,19 +240,25 @@ def test_repeated_grid_point_is_one_error_line(tmp_path, small_args, capsys, com
     assert not out.exists()
 
 
+RANGE = "must be in [2, 12]"
+SPLIT = "2 locations used with train_fraction = 0.9 give 2 train / 0 validation locations"
+
+
 @pytest.mark.parametrize(
-    "command, lines, flags, key",
+    "command, lines, flags, key, message",
     [
-        ("sweep-features", "locations_used_features = 13\n", [], "locations_used_features"),
-        ("sweep-features", "locations_used_features = 1\n", [], "locations_used_features"),
-        ("sweep-locations", "", ["--grid", "10,60"], "location_grid"),
+        ("sweep-features", "locations_used_features = 13\n", [], "locations_used_features", RANGE),
+        ("sweep-features", "locations_used_features = 1\n", [], "locations_used_features", RANGE),
+        ("sweep-locations", "", ["--grid", "10,60"], "location_grid", RANGE),
+        # grid point 8 splits 7 / 1 locations, point 2 splits 2 / 0
+        ("sweep-locations", "train_fraction = 0.9\n", ["--grid", "8,2"], "location_grid", SPLIT),
     ],
-    ids=["features-13", "features-1", "grid-60"],
+    ids=["features-13", "features-1", "grid-60", "grid-2-split"],
 )
 def test_locations_used_outside_the_corpus_is_one_error_line(
-    tmp_path, small_args, capsys, monkeypatch, command, lines, flags, key
+    tmp_path, small_args, capsys, monkeypatch, command, lines, flags, key, message
 ):
-    # checked against the 14-location corpus before any iteration runs
+    # checked against the 14-location corpus, and split, before any iteration runs
     cfg = tmp_path / "c.cfg"
     cfg.write_text(small_args.read_text() + "\n" + lines)
     monkeypatch.setattr(ev, "run_iteration", lambda *a: pytest.fail("fitted before the check"))
@@ -263,8 +269,33 @@ def test_locations_used_outside_the_corpus_is_one_error_line(
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith(f"error: {key}: ")
-    assert "must be in [2, 12]" in captured.err
+    assert message in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "lines, used, message",
+    [
+        ("", "1", "1 locations used must be in [2, 14]"),
+        ("train_fraction = 0.9\n", "2", "2 locations used with train_fraction = 0.9 give 2 train"),
+    ],
+    ids=["one-location", "no-validation-location"],
+)
+def test_train_split_errors_name_the_flag(tmp_path, small_args, capsys, monkeypatch, lines, used, message):
+    meas = tmp_path / "meas.csv"
+    assert main(["generate", "--out", str(meas), "--seed", "11", "--config", str(small_args)]) == 0
+    capsys.readouterr()
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(small_args.read_text() + "\n" + lines)
+    monkeypatch.setattr(ev, "fit_rule", lambda *a: pytest.fail("fitted before the check"))
+    model = tmp_path / "m.model"
+    argv = ["train", "--data", str(meas), "--algorithm", "dbc2", "--model-out", str(model)]
+    assert main(argv + ["--seed", "12", "--config", str(cfg), "--locations-used", used]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: --locations-used: {message}")
+    assert not model.exists()
 
 
 def test_check_passes(capsys):

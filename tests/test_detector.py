@@ -1,8 +1,10 @@
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -249,6 +251,98 @@ class TestStackedEvaluation:
     def test_higher_rank_input_rejected(self):
         with pytest.raises(ValueError, match="batches"):
             det.statistic_batch(STACK_MODEL, np.zeros((2, 3, 6)), np.zeros((2, 3, 6)))
+
+
+def _outcome(fn):
+    """("ok", the statistic's float64 bytes) or ("error", the ValueError message)."""
+    try:
+        return "ok", np.float64(fn()).tobytes()
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def _inf_bias_model() -> det.DetectorModel:
+    # an overflowed output bias, set after the constructor's checks
+    model = as_float32(make_model(m=6, seed=33))
+    model.params.biases[-1][0] = math.inf
+    return model
+
+
+LONE_MODELS = (STACK_MODEL, PLAIN_MODEL, STACK_MODEL32, PLAIN_MODEL32, _inf_bias_model())
+edge_features = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e300, -1e300, 3e38, -3e38]),
+)
+
+
+class TestLonePair:
+    """A lone (M,) pair's own path against the one-row batch, and under threads."""
+
+    @pytest.mark.filterwarnings("error")
+    @given(
+        f=hnp.arrays(np.float64, 6, elements=edge_features),
+        fp=hnp.arrays(np.float64, 6, elements=edge_features),
+        same=st.sampled_from(["none", "all", "all_but_last"]),
+    )
+    # both vectors fit in float32 but their difference does not
+    @example(f=np.full(6, 3e38), fp=np.full(6, -3e38), same="none")
+    # a float64 model scores 1e300, a float32 one refuses it
+    @example(f=np.r_[1e300, np.zeros(5)], fp=np.zeros(6), same="none")
+    @example(f=np.r_[np.nan, np.zeros(5)], fp=np.zeros(6), same="none")
+    # the difference overflows float64 itself: no warning may escape
+    @example(f=np.full(6, 1.7e308), fp=np.full(6, -1.7e308), same="none")
+    @example(f=np.r_[0.0, -0.0, 1.0, np.zeros(3)], fp=np.r_[-0.0, 0.0, 1.0, np.zeros(3)], same="none")
+    def test_same_bits_or_same_error_as_a_one_row_batch(self, f, fp, same):
+        if same == "all":
+            fp = f.copy()
+        elif same == "all_but_last":
+            fp = np.r_[f[:-1], fp[-1]]
+        for model in LONE_MODELS:
+            for a, b in ((f, fp), (fp, f)):
+                lone = _outcome(lambda: det.statistic_batch(model, a, b))
+                batch = _outcome(lambda: det.statistic_batch(model, a[None], b[None])[0])
+                assert lone == batch
+
+    def test_network_input_of_every_tie_pattern_is_the_reference(self, monkeypatch):
+        seen = []
+        forward = neural.forward
+        monkeypatch.setattr(neural, "forward", lambda p, x, s: (seen.append(x.copy()), forward(p, x, s))[1])
+        rng = np.random.default_rng(300)
+        f, fp = rng.normal(size=(4, 6)), rng.normal(size=(4, 6))
+        fp[0] = f[0]  # equal vectors
+        fp[1, :3] = f[1, :3]  # ties in the three leading features
+        fp[2, :-1] = f[2, :-1]  # a tie in all but the last feature
+        f[3, :2], fp[3, :2] = 0.0, -0.0  # equal but for the sign of zero
+        for model in (PLAIN_MODEL, PLAIN_MODEL32, STACK_MODEL, STACK_MODEL32):
+            for a, b in [p for i in range(4) for p in ((f[i], fp[i]), (fp[i], f[i]))]:
+                seen.clear()
+                det.statistic_batch(model, a, b)
+                assert [(x.dtype, x.shape, x.tobytes()) for x in seen] == [
+                    (x.dtype, x.shape, x.tobytes()) for x in reference_blocks(model, a, b)
+                ]
+
+    def test_threads_sharing_a_model_match_a_serial_run(self):
+        # four threads interleave lone-pair decisions and batch statistics on
+        # one float32 model; the barrier starts them together
+        model = as_float32(make_model(m=16, hidden=(256, 256, 256), seed=34))
+        rng = np.random.default_rng(35)
+        f, fp = rng.normal(size=(48, 16)), rng.normal(size=(48, 16))
+        barrier = threading.Barrier(4, timeout=60)
+
+        def run(t, wait=False):
+            if wait:
+                barrier.wait()
+            got = []
+            for i in range(40):
+                j = (i + 10 * t) % 40
+                got.append(np.float64(det.decide(model, f[j], fp[j]).statistic).tobytes())
+                got.append(det.statistic_batch(model, f[j : j + 8], fp[j : j + 8]).tobytes())
+            return got
+
+        serial = [run(t) for t in range(4)]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(lambda t: run(t, wait=True), range(4)))
+        assert threaded == serial
 
 
 class TestSigmoid:
