@@ -149,6 +149,8 @@ def _cmd_train(args) -> int:
     ms = load_measurements(args.data)
     l_used = args.locations_used if args.locations_used is not None else ms.n_locations
     ev.check_locations_used(ms, cfg, l_used, "--locations-used", n_test=0)
+    if args.algorithm == "kmc":
+        ev.check_kappa(ms, cfg, l_used, "--kappa")
     # the split and pairs of a sweep iteration whose seed is --seed
     split, train_pairs = ev.training_split(ms, cfg, l_used, cfg.master_seed)
     model, history = ev.fit_rule(ms, cfg, args.algorithm, split, train_pairs, cfg.master_seed)

@@ -34,6 +34,13 @@ unchanged, so are the weights' values; every DNNC statistic changes in
 its last bits, and a DNNC accuracy in a report changes where a test
 decision flips sign.  Synthesis, the DBC/KMC baselines and their files
 are byte-identical across it.
+
+Seed-contract bump (synthesis streams): each location of a synthetic
+corpus now draws from one generator (see the ``signal_model`` module
+docstring) instead of one stream per window.  The paths above are
+unchanged, but every synthesized corpus changes, and with it every
+report, model and history fitted on one.  Everything computed from a
+``measurements_path`` file is byte-identical across the bump.
 """
 
 from __future__ import annotations
@@ -214,6 +221,18 @@ def check_locations_used(
         )
 
 
+def check_kappa(ms: MeasurementSet, cfg: ExperimentConfig, l_used: int, key: str) -> None:
+    """Refuse, naming ``key``, a ``cfg.kappa`` above the n_train * E vectors
+    that k-means clusters when ``l_used`` locations are split."""
+    n_train, _ = split_sizes(l_used, cfg.train_fraction)
+    n_vectors = n_train * ms.n_estimates
+    if cfg.kappa > n_vectors:
+        raise ConfigError(
+            f"{key}: {cfg.kappa} centroids need as many training vectors, but {l_used} locations "
+            f"used give {n_train} train locations x {ms.n_estimates} estimates = {n_vectors}"
+        )
+
+
 def training_split(
     ms: MeasurementSet, cfg: ExperimentConfig, l_used: int, iter_seed: int
 ) -> tuple[LocationSplit, PairSet]:
@@ -253,6 +272,8 @@ def _sweep(cfg: ExperimentConfig, sweep_var: str, key: str, points) -> EvalRepor
     points = list(points)
     for _, ms, l_used in points:  # before any fit
         check_locations_used(ms, cfg, l_used, key, n_test=2)
+        if "kmc" in cfg.algorithms:
+            check_kappa(ms, cfg, l_used, "kappa")
     rows = []
     for s, (label, ms, l_used) in enumerate(points):
         per_alg: dict[str, list[float]] = {alg: [] for alg in cfg.algorithms}

@@ -11,29 +11,24 @@ true RSS; that fluctuation is the whole point of the exercise.
 All powers are in dBm (dB relative to 1 mW); sample amplitudes are in
 sqrt(mW).  Every operation is pure given its inputs and seed.
 
-Seed tree of a campaign (fixed: changing it changes every output bit):
-estimate j of location n draws from child n*E + j of
-``SeedSequence(seed)``, i.e. spawn key (n*E + j,).  Its sub-child 0
-(key (n*E + j, 0)) draws the per-group gain drift; sub-child rx+1 seeds
-the generator of channel rx's window, which draws the uniform tone
-phase, then N_s real and then N_s imaginary noise normals.  These are
-the streams ``spawn`` would hand out, but no SeedSequence or generator
-is built per window: ``seeding.pcg64_words`` derives the PCG64 state of
-every stream of a block of locations in one vectorized pass,
-``seeding.pcg64_random`` takes every window's phase draw from those
-words, and one reused generator is set to each stepped state in turn
-for the window's normals.  ``estimate_rss_vector`` on a SeedSequence
-reads the same children its ``spawn`` would give next, without spawning,
-so the caller's object is left untouched.
+Random streams of a campaign (fixed: changing them changes every output
+bit): location n draws from one generator, ``default_rng`` on child n of
+``SeedSequence(seed)`` (spawn key (n,)).  It draws, in this order, the
+(E, G) standard normals of its per-group gain drift, the (E, M) uniforms
+of its tone phases, and the (E, M, 2, N_s) standard normals of its
+noise, each window's N_s real parts before its N_s imaginary parts.  All
+three arrays are drawn for every location, whether the drift or the
+noise is zero or not, each with one call writing into the arrays of the
+current block.  ``estimate_rss_vector`` is the same kernel with E = 1 on
+``default_rng(seed)``.
 
 Synthesis runs in blocks of whole locations, as many as fit in
 ``BLOCK_WINDOWS`` windows (E*M per location), or one location when E*M
-is larger.  A block's windows are drawn per generator, then toned,
-summed and averaged as one batch, so working memory is a few
-(BLOCK_WINDOWS, N_s) arrays, whatever L is: a tracemalloc peak of about
-1.6 MB for the default 52 x 64 x 16 campaign (0.43 MB of it the output),
-as when each location was its own batch, and about 1.2 MB at E = 8.
-The blocking changes no output bit.
+is larger.  A block's windows are toned, summed and averaged as one
+batch, so working memory is a few (BLOCK_WINDOWS, N_s) arrays, whatever
+L is: a tracemalloc peak of about 1.5 MB for the default 52 x 64 x 16
+campaign (0.43 MB of it the output).  The blocking changes no output
+bit.
 """
 
 from __future__ import annotations
@@ -44,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegeneratePowerError
-from .seeding import SeedLike, as_seed_sequence, pcg64_random, pcg64_words
+from .seeding import SeedLike
 
 # Windows per synthesis block (whole locations, or one location when E*M
 # is larger).  Like detector.BLOCK_PAIRS, it bounds working memory and no
@@ -268,49 +263,23 @@ def true_rss(scenario: Scenario, location_id: int) -> np.ndarray:
     return np.array([linear_to_db(db_to_linear(p) + noise_lin) for p in signal_dbm])
 
 
-def _generators(words: np.ndarray):
-    """One reused ``Generator``, set in turn to each row of (B, 4) PCG64 words."""
-    bit_generator = np.random.PCG64(0)
-    inner = {"state": 0, "inc": 0}
-    full = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
-    rng = np.random.Generator(bit_generator)
-    for state_hi, state_lo, inc_hi, inc_lo in words.tolist():
-        inner["state"], inner["inc"] = (state_hi << 64) | state_lo, (inc_hi << 64) | inc_lo
-        bit_generator.state = full
-        yield rng
-
-
 def _sample_windows(
-    cfg: ScenarioConfig, amplitudes: np.ndarray, words: np.ndarray, n_samples: int
+    cfg: ScenarioConfig, amplitudes: np.ndarray, phases: np.ndarray, normals: np.ndarray
 ) -> np.ndarray:
-    """Complex samples of ``len(words)`` windows, one window per row.
+    """Complex samples of ``len(amplitudes)`` windows, one window per row.
 
-    Window i has tone amplitude ``amplitudes[i]`` and draws from a PCG64
-    started at row i of the (B, 4) ``words``: the uniform phase, then
-    2*N_s noise normals, N_s real parts followed by N_s imaginary parts.
-    The phases come from the words themselves (``seeding.pcg64_random``),
-    so only the normals are drawn per window; the tone, noise scaling and
-    sum are elementwise over all rows, so a window's samples do not depend
-    on which other windows share the call.
+    Window i has tone amplitude ``amplitudes[i]``, initial phase
+    ``phases[i]`` and noise ``normals[i]`` (shape (2, N_s): standard
+    normal real parts, then imaginary parts, scaled here to the noise
+    power).  Everything is elementwise over the rows, so a window's
+    samples do not depend on which other windows share the call.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    noise_power = db_to_linear(cfg.noise_dbm)
-    words, uniforms = pcg64_random(words)
-    # Generator.uniform(0, 2*pi) is 0.0 + 2*pi * random(), bit for bit
-    phases = 2.0 * math.pi * uniforms
-
+    n_samples = normals.shape[-1]
     k = np.arange(n_samples)
     tone = amplitudes[:, None] * np.exp(
         1j * (2.0 * math.pi * TONE_CYCLES_PER_SAMPLE * k + phases[:, None])
     )
-    noise = 0.0
-    if noise_power > 0.0:
-        normals = np.empty((len(words), 2 * n_samples))
-        for row, rng in zip(normals, _generators(words)):
-            rng.standard_normal(out=row)
-        real, imag = normals[:, :n_samples], normals[:, n_samples:]
-        noise = math.sqrt(noise_power / 2.0) * (real + 1j * imag)
+    noise = math.sqrt(db_to_linear(cfg.noise_dbm) / 2.0) * (normals[:, 0] + 1j * normals[:, 1])
     return tone + noise
 
 
@@ -348,14 +317,19 @@ def draw_sample_window(
     x[k] is a unit-power complex tone at ``TONE_CYCLES_PER_SAMPLE`` with
     a random initial phase; |h|^2 equals the linear received signal
     power shifted by ``extra_gain_db``; v[k] is i.i.d. circular Gaussian
-    at the configured noise power.  Deterministic given seed.  Batched
-    synthesis draws the same window from the same seed (gain drift
-    entering as ``extra_gain_db``) without calling this function.
+    at the configured noise power.  ``default_rng(seed)`` draws the
+    uniform phase, then N_s real and N_s imaginary noise normals.
+    Deterministic given seed; campaign synthesis does not call it.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     p_rx = received_power_dbm(scenario, location_id, receiver_id) + extra_gain_db
     amplitude = np.array([math.sqrt(db_to_linear(p_rx))])
-    words = pcg64_words(as_seed_sequence(seed), np.empty((1, 0), dtype=np.int64))
-    samples = _sample_windows(scenario.config, amplitude, words, n_samples)
+    rng = np.random.default_rng(seed)
+    # Generator.uniform(0, 2*pi) is 0.0 + 2*pi * random(), bit for bit
+    phase = 2.0 * math.pi * rng.random(1)
+    normals = rng.standard_normal((1, 2, n_samples))
+    samples = _sample_windows(scenario.config, amplitude, phase, normals)
     return SampleWindow(location_id=location_id, receiver_id=receiver_id, samples=samples[0])
 
 
@@ -371,39 +345,36 @@ def estimate_rss(window: SampleWindow) -> float:
 
 
 def _estimate_vectors(
-    scenario: Scenario,
-    location_ids: np.ndarray,
-    n_samples: int,
-    parent: np.random.SeedSequence,
-    tails: np.ndarray,
+    scenario: Scenario, location_ids, n_estimates: int, n_samples: int, rngs
 ) -> np.ndarray:
     """RSS vector estimates at a block of locations, in dBm, shape (P, E, M).
 
-    Estimate j of ``location_ids[p]`` draws from the M+1 descendants of
-    ``parent`` whose spawn keys are ``parent.spawn_key`` followed by
-    ``tails[p, j, 0]``, ..., ``tails[p, j, M]`` (``tails`` has shape
-    (P, E, M+1, k)): stream 0 draws the per-group gain drift, stream rx+1
-    drives the window of channel rx.  All P*E*M windows are synthesized
-    in one batch.
+    Location ``location_ids[p]`` draws from generator ``rngs[p]``, in the
+    module docstring's order: gain drift, phases, noise.  All P*E*M
+    windows are synthesized in one batch.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     cfg = scenario.config
     m = scenario.n_channels
-    n_locations, n_estimates = tails.shape[:2]
-    signal_dbm = _signal_power_dbm(scenario, location_ids)
+    n_locations = len(location_ids)
     n_groups = int(scenario.receiver_group.max()) + 1
-    words = pcg64_words(parent, tails.reshape(-1, tails.shape[-1])).reshape(-1, m + 1, 4)
-    if cfg.gain_drift_std_db > 0.0:
-        drift = np.array(
-            [rng.normal(0.0, cfg.gain_drift_std_db, size=n_groups) for rng in _generators(words[:, 0])]
-        ).reshape(n_locations, n_estimates, n_groups)
-    else:
-        drift = np.zeros((n_locations, n_estimates, n_groups))
-    p_rx = signal_dbm[:, None, :] + drift[:, :, scenario.receiver_group]
+    drift = np.empty((n_locations, n_estimates, n_groups))
+    uniforms = np.empty((n_locations, n_estimates, m))
+    normals = np.empty((n_locations, n_estimates, m, 2, n_samples))
+    for rng, d, u, z in zip(rngs, drift, uniforms, normals, strict=True):
+        rng.standard_normal(out=d)
+        rng.random(out=u)
+        rng.standard_normal(out=z)
+    p_rx = _signal_power_dbm(scenario, location_ids)[:, None, :] + (
+        cfg.gain_drift_std_db * drift[:, :, scenario.receiver_group]
+    )
 
     # db_to_linear's ``**`` per value: numpy's ``power`` differs from it in
     # the last bit on some inputs
     amplitudes = np.array([math.sqrt(10.0 ** (p / 10.0)) for p in p_rx.ravel().tolist()])
-    samples = _sample_windows(cfg, amplitudes, words[:, 1:].reshape(-1, 4), n_samples)
+    phases = 2.0 * math.pi * uniforms.ravel()
+    samples = _sample_windows(cfg, amplitudes, phases, normals.reshape(-1, 2, n_samples))
     values = _rss_db(
         _mean_power(samples),
         np.repeat(location_ids, n_estimates * m),
@@ -418,16 +389,14 @@ def estimate_rss_vector(
     """One RSS vector estimate: every channel measured once, in dBm.
 
     The transmitter position is held fixed across the M windows; noise
-    streams are independent per channel.  If the scenario has nonzero
-    gain drift, one offset per receiver group is drawn for this estimate
-    and applied to all windows of that group.  The streams are the M+1
-    children ``spawn`` would give next; a SeedSequence seed is read, never
+    is independent per channel.  If the scenario has nonzero gain drift,
+    one offset per receiver group is drawn for this estimate and applied
+    to all windows of that group.  This is one location's synthesis with
+    E = 1 on ``default_rng(seed)``; a SeedSequence seed is read, never
     spawned from, so repeated calls with it return the same vector.
     """
     _check_ids(scenario, location_id)
-    ss = as_seed_sequence(seed)
-    tails = ss.n_children_spawned + np.arange(scenario.n_channels + 1)
-    return _estimate_vectors(scenario, [location_id], n_samples, ss, tails[None, None, :, None])[0, 0]
+    return _estimate_vectors(scenario, [location_id], 1, n_samples, [np.random.default_rng(seed)])[0, 0]
 
 
 def simulate_measurement_set(
@@ -436,25 +405,22 @@ def simulate_measurement_set(
     """Full synthetic campaign: E independent RSS vector estimates per location.
 
     Returns a :class:`rssdetect.dataset.MeasurementSet` with location ids
-    0..L-1 and the scenario's transmitter coordinates attached.  Estimate
-    j of location n is ``estimate_rss_vector`` on
-    ``SeedSequence(seed, spawn_key=(n*E + j,))``, the child that
-    ``SeedSequence(seed).spawn`` hands out at index n*E + j.
+    0..L-1 and the scenario's transmitter coordinates attached.  Location
+    n draws from ``default_rng`` on the child that
+    ``SeedSequence(seed).spawn`` hands out at index n.
     """
     from .dataset import MeasurementSet  # local import to keep dataset free of this module
 
     if n_estimates < 2:
         raise ConfigError(f"n_estimates must be >= 2, got {n_estimates}")
-    parent = np.random.SeedSequence(seed)
     n_locations, m = scenario.n_locations, scenario.n_channels
+    children = np.random.SeedSequence(seed).spawn(n_locations)
     values = np.empty((n_locations, n_estimates, m))
     per_block = max(1, BLOCK_WINDOWS // (n_estimates * m))
     for start in range(0, n_locations, per_block):
         ids = np.arange(start, min(start + per_block, n_locations))
-        tails = np.empty((ids.size, n_estimates, m + 1, 2), dtype=np.int64)
-        tails[..., 0] = (ids[:, None] * n_estimates + np.arange(n_estimates))[:, :, None]
-        tails[..., 1] = np.arange(m + 1)
-        values[start : start + ids.size] = _estimate_vectors(scenario, ids, n_samples, parent, tails)
+        rngs = [np.random.default_rng(children[n]) for n in ids]
+        values[start : start + ids.size] = _estimate_vectors(scenario, ids, n_estimates, n_samples, rngs)
     return MeasurementSet(
         values=values,
         location_ids=np.arange(scenario.n_locations, dtype=np.int64),

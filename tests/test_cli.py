@@ -1,3 +1,4 @@
+import hashlib
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -242,6 +243,7 @@ def test_repeated_grid_point_is_one_error_line(tmp_path, small_args, capsys, com
 
 RANGE = "must be in [2, 12]"
 SPLIT = "2 locations used with train_fraction = 0.9 give 2 train / 0 validation locations"
+KAPPA = "40 centroids need as many training vectors"
 
 
 @pytest.mark.parametrize(
@@ -252,8 +254,12 @@ SPLIT = "2 locations used with train_fraction = 0.9 give 2 train / 0 validation 
         ("sweep-locations", "", ["--grid", "10,60"], "location_grid", RANGE),
         # grid point 8 splits 7 / 1 locations, point 2 splits 2 / 0
         ("sweep-locations", "train_fraction = 0.9\n", ["--grid", "8,2"], "location_grid", SPLIT),
+        # k-means on 48 vectors at grid point 10 (8 train locations x 6
+        # estimates), 18 at point 4; 36 at the feature sweep's 8 locations
+        ("sweep-locations", "kappa = 40\n", ["--grid", "10,4", "--algorithms", "dbc2,kmc"], "kappa", KAPPA),
+        ("sweep-features", "kappa = 40\n", ["--algorithms", "dbc2,kmc"], "kappa", KAPPA),
     ],
-    ids=["features-13", "features-1", "grid-60", "grid-2-split"],
+    ids=["features-13", "features-1", "grid-60", "grid-2-split", "grid-4-kappa", "features-kappa"],
 )
 def test_locations_used_outside_the_corpus_is_one_error_line(
     tmp_path, small_args, capsys, monkeypatch, command, lines, flags, key, message
@@ -271,6 +277,23 @@ def test_locations_used_outside_the_corpus_is_one_error_line(
     assert captured.err.startswith(f"error: {key}: ")
     assert message in captured.err
     assert not out.exists()
+
+
+def test_infeasible_kappa_in_train_names_the_flag(tmp_path, small_args, capsys, monkeypatch):
+    meas = tmp_path / "meas.csv"
+    assert main(["generate", "--out", str(meas), "--seed", "11", "--config", str(small_args)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(ev, "fit_rule", lambda *a: pytest.fail("fitted before the check"))
+    model = tmp_path / "m.model"
+    argv = ["train", "--data", str(meas), "--algorithm", "kmc", "--model-out", str(model)]
+    assert main(argv + ["--seed", "12", "--config", str(small_args), "--kappa", "500"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --kappa: 500 centroids need as many training vectors, but 14 locations "
+        "used give 11 train locations x 6 estimates = 66\n"
+    )
+    assert not model.exists()
 
 
 @pytest.mark.parametrize(
@@ -306,8 +329,16 @@ def test_check_passes(capsys):
         "PASS loss-anchor (|loss - log 2| = 0.0e+00)\n"
         "PASS threshold-tuning\n"
         "PASS kmeans-monotone\n"
-        "PASS estimator-consistency (mean |err| 0.616 dB @16 vs 0.154 dB @256)\n"
+        "PASS estimator-consistency (mean |err| 0.612 dB @16 vs 0.155 dB @256)\n"
         "all checks passed\n"
+    )
+
+
+def test_check_seed_4_stdout_digest(capsys):
+    # the self-test CI runs; its estimator line follows the synthesis streams
+    assert main(["check", "--seed", "4"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "8c70c3a5e14351a4427875b164160ea666aad6a10f9b72755574205cde74b567"
     )
 
 

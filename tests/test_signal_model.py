@@ -246,9 +246,11 @@ class TestEstimateRssVector:
         sc = make_plain_scenario()
         ss = np.random.SeedSequence(77)
         vec = sm.estimate_rss_vector(sc, 0, 32, seed=ss)
-        # replay the same derived stream through the scalar path
-        children = np.random.SeedSequence(77).spawn(2)
-        w = sm.draw_sample_window(sc, 0, 0, 32, seed=children[1])
+        # replay the same stream through the scalar path: the one drift
+        # group's normal comes first, then the window's phase and normals
+        rng = np.random.default_rng(np.random.SeedSequence(77))
+        rng.standard_normal()
+        w = sm.draw_sample_window(sc, 0, 0, 32, seed=rng)
         assert vec[0] == sm.estimate_rss(w)
 
     def test_ergodic_convergence_to_true_rss(self):
@@ -275,22 +277,6 @@ class TestEstimateRssVector:
         assert ss.n_children_spawned == 0
         assert a.tobytes() == b.tobytes()
         assert a.tobytes() == sm.estimate_rss_vector(sc, 0, 16, seed=np.random.SeedSequence(77)).tobytes()
-
-    def test_reads_the_children_spawn_would_give_next(self):
-        sc = make_plain_scenario(receivers=((1.0, 0.0, 0.0), (0.0, 2.0, 0.0)))
-        ss = np.random.SeedSequence(77, spawn_key=(4,))
-        ss.spawn(5)
-        vec = sm.estimate_rss_vector(sc, 0, 16, seed=ss)
-        children = ss.spawn(3)
-        want = [sm.estimate_rss(sm.draw_sample_window(sc, 0, rx, 16, seed=children[rx + 1])) for rx in range(2)]
-        assert vec.tolist() == want
-
-    def test_child_index_beyond_one_word_raises(self):
-        # spawn keys of 2**32 and up take two words; the derivation refuses them
-        sc = make_plain_scenario()
-        ss = np.random.SeedSequence(1, n_children_spawned=2**32 - 1)
-        with pytest.raises(ValueError):
-            sm.estimate_rss_vector(sc, 0, 8, seed=ss)
 
     def test_gain_drift_shared_within_group(self):
         # two colocated antennas drift together; a distant one does not
@@ -327,28 +313,37 @@ class TestSimulateMeasurementSet:
         assert np.array_equal(a.coordinates, sc.locations)
 
 
-def replay_measurement_values(sc, n_estimates, n_samples, seed) -> np.ndarray:
-    """Campaign values rebuilt one window at a time from the public
-    single-window functions, following the documented seed tree."""
-    m = sc.n_channels
-    n_groups = int(sc.receiver_group.max()) + 1
-    children = np.random.SeedSequence(seed).spawn(sc.n_locations * n_estimates)
-    values = np.empty((sc.n_locations, n_estimates, m))
-    for n in range(sc.n_locations):
-        for j in range(n_estimates):
-            grand = children[n * n_estimates + j].spawn(m + 1)
-            drift = np.zeros(n_groups)
-            if sc.config.gain_drift_std_db > 0.0:
-                drift = np.random.default_rng(grand[0]).normal(
-                    0.0, sc.config.gain_drift_std_db, size=n_groups
-                )
-            for rx in range(m):
-                w = sm.draw_sample_window(
-                    sc, n, rx, n_samples, seed=grand[rx + 1],
-                    extra_gain_db=float(drift[sc.receiver_group[rx]]),
-                )
-                values[n, j, rx] = sm.estimate_rss(w)
+def replay_location(sc, n, n_estimates, n_samples, rng) -> np.ndarray:
+    """Location n's (E, M) estimates rebuilt one window at a time from its
+    generator, in the documented draw order: the (E, G) drift normals,
+    the (E, M) phase uniforms, then each window's 2*N_s noise normals."""
+    cfg = sc.config
+    drift = rng.standard_normal((n_estimates, int(sc.receiver_group.max()) + 1))
+    uniforms = rng.random((n_estimates, sc.n_channels))
+    k = np.arange(n_samples)
+    values = np.empty((n_estimates, sc.n_channels))
+    for j in range(n_estimates):
+        for rx in range(sc.n_channels):
+            normals = rng.standard_normal(2 * n_samples)
+            p_rx = sm.received_power_dbm(sc, n, rx) + cfg.gain_drift_std_db * drift[j, sc.receiver_group[rx]]
+            phase = 2.0 * math.pi * uniforms[j, rx]
+            tone = math.sqrt(sm.db_to_linear(p_rx)) * np.exp(
+                1j * (2.0 * math.pi * sm.TONE_CYCLES_PER_SAMPLE * k + phase)
+            )
+            scale = math.sqrt(sm.db_to_linear(cfg.noise_dbm) / 2.0)
+            noise = scale * (normals[:n_samples] + 1j * normals[n_samples:])
+            values[j, rx] = sm.estimate_rss(sm.SampleWindow(n, rx, tone + noise))
     return values
+
+
+def replay_measurement_values(sc, n_estimates, n_samples, seed) -> np.ndarray:
+    """Campaign values rebuilt one window at a time, location n on
+    ``default_rng`` of child n of ``SeedSequence(seed)``."""
+    children = np.random.SeedSequence(seed).spawn(sc.n_locations)
+    return np.array([
+        replay_location(sc, n, n_estimates, n_samples, np.random.default_rng(children[n]))
+        for n in range(sc.n_locations)
+    ])
 
 
 class TestCampaignBits:
@@ -366,19 +361,19 @@ class TestCampaignBits:
         got = sm.simulate_measurement_set(sc, n_estimates=3, n_samples=n_samples, seed=8)
         want = replay_measurement_values(sc, 3, n_samples, seed=8)
         assert got.values.tobytes() == want.tobytes()
-        children = np.random.SeedSequence(8).spawn(sc.n_locations * 3)
         for n in range(sc.n_locations):
-            vec = sm.estimate_rss_vector(sc, n, n_samples, seed=children[3 * n])
-            assert vec.tobytes() == want[n, 0].tobytes()
+            vec = sm.estimate_rss_vector(sc, n, n_samples, seed=100 + n)
+            one = replay_location(sc, n, 1, n_samples, np.random.default_rng(100 + n))
+            assert vec.tobytes() == one[0].tobytes()
 
     def test_pinned_campaign_digest(self):
-        # SHA-256 of the values before synthesis was batched per location
-        # (numpy 2.4, x86-64); any change to the seed tree or the window
-        # arithmetic changes it
+        # SHA-256 of the values at one random stream per location (numpy
+        # 2.4, x86-64); any change to the streams, their draw order or the
+        # window arithmetic changes it
         sc = sm.generate_scenario(sm.ScenarioConfig(n_locations=5, gain_drift_std_db=2.0), seed=11)
         ms = sm.simulate_measurement_set(sc, n_estimates=3, n_samples=8, seed=12)
         assert hashlib.sha256(ms.values.tobytes()).hexdigest() == (
-            "a59c9045900dda791ee41c4d81ab40d231257e9b7a9b358493dd5e6b34d8c1fd"
+            "40db46766ab41171afede5e4a72b4ce89043eb1bab78e6dcec3d036f2967d962"
         )
 
     def test_default_layout_as_receiver_positions_keeps_campaign_bytes(self):
@@ -402,13 +397,13 @@ class TestCampaignBits:
         assert got.coordinates.tobytes() == want.coordinates.tobytes()
 
     def test_pinned_benchmark_shape_digest(self):
-        # SHA-256 of the default 52 x 8 x 16 campaign, taken before
-        # synthesis ran in blocks of several locations (numpy 2.4, x86-64)
+        # SHA-256 of the default 52 x 8 x 16 campaign at one random stream
+        # per location (numpy 2.4, x86-64)
         sc = sm.generate_scenario(sm.ScenarioConfig(), seed=0)
         ms = sm.simulate_measurement_set(sc, n_estimates=8, n_samples=16, seed=1)
         assert ms.values.shape == (52, 8, 16)
         assert hashlib.sha256(ms.values.tobytes()).hexdigest() == (
-            "cf2c335faf2d8aaca0b183739888c7df9a9022ff9c418cc598c9ba0d10478180"
+            "6d5acd38b9a4ae342ddc87442129e2735124868713a3d71d497bf7eb018621d1"
         )
 
     @pytest.mark.parametrize(
