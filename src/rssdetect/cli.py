@@ -100,23 +100,16 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def apply_config(cfg: ev.ExperimentConfig, kv: dict[str, str]) -> ev.ExperimentConfig:
-    """Overlay parsed key/value strings onto an experiment config.
-
-    Scenario and training keys apply one at a time.  Experiment keys apply
-    in one ``replace``, as ``ExperimentConfig`` checks its fields against
-    each other (``location_grid`` against ``algorithms``).
-    """
-    updates = {}  # experiment fields, the scenario and train sections among them
+    """Overlay parsed key/value strings onto an experiment config, one key
+    at a time, in order."""
     for key, raw in kv.items():
         if key not in CONFIG_FIELDS:
             raise ConfigError(f"unknown configuration key {key!r}")
         section, name = CONFIG_FIELDS[key]
-        if section == "experiment":
-            updates[name] = _parse_value(name, raw, getattr(cfg, name))
-        else:
-            owner = updates.get(section, getattr(cfg, section))
-            updates[section] = replace(owner, **{name: _parse_value(name, raw, getattr(owner, name))})
-    return replace(cfg, **updates)
+        owner = cfg if section == "experiment" else getattr(cfg, section)
+        owner = replace(owner, **{name: _parse_value(name, raw, getattr(owner, name))})
+        cfg = owner if section == "experiment" else replace(cfg, **{section: owner})
+    return cfg
 
 
 def _experiment_config(args) -> ev.ExperimentConfig:
@@ -145,13 +138,11 @@ def _cmd_generate(args) -> int:
 def _cmd_train(args) -> int:
     if args.history_out and args.algorithm != "dnnc":
         raise ConfigError("history_out: only the dnnc algorithm records a history")
-    cfg = _experiment_config(args)
+    cfg = replace(_experiment_config(args), algorithms=(args.algorithm,))
     ms = load_measurements(args.data)
     l_used = args.locations_used if args.locations_used is not None else ms.n_locations
-    ev.check_locations_used(ms, cfg, l_used, "--locations-used", n_test=0)
-    if args.algorithm == "kmc":
-        ev.check_kappa(ms, cfg, l_used, "--kappa")
-    # the split and pairs of a sweep iteration whose seed is --seed
+    # the split and pairs of a sweep iteration whose seed is --seed, with no test part
+    ev.check_locations_used(ms, cfg, l_used, "--locations-used", 0, [cfg.master_seed], "--kappa")
     split, train_pairs = ev.training_split(ms, cfg, l_used, cfg.master_seed)
     model, history = ev.fit_rule(ms, cfg, args.algorithm, split, train_pairs, cfg.master_seed)
     if history is not None:
@@ -162,7 +153,7 @@ def _cmd_train(args) -> int:
         if args.history_out:
             ev.emit_history(history, args.history_out)
     else:
-        centroids = f"{model.kappa} centroids, " if args.algorithm == "kmc" else ""
+        centroids = f"{model.kappa} centroids, " if hasattr(model, "kappa") else ""
         print(f"{args.algorithm}: {centroids}threshold {model.threshold!r}")
     save_model(model, args.model_out)
     print(f"wrote model to {args.model_out}")

@@ -138,11 +138,6 @@ class ExperimentConfig:
             values = getattr(self, name)
             if len(set(values)) < len(values):
                 raise ConfigError(f"{name}: repeats an entry in {values}")
-        if "dnnc" in self.algorithms and min(self.location_grid) < 10:
-            raise ConfigError(
-                "location_grid: values below 10 give too few locations to split "
-                "into training and validation when the neural detector is included"
-            )
         if self.n_samples < 1:
             raise ConfigError(f"n_samples: must be >= 1, got {self.n_samples}")
         if self.n_estimates < 2:
@@ -204,33 +199,45 @@ def fit_rule(
 
 
 def check_locations_used(
-    ms: MeasurementSet, cfg: ExperimentConfig, l_used: int, key: str, n_test: int
+    ms: MeasurementSet, cfg: ExperimentConfig, l_used: int, key: str, n_test: int,
+    iter_seeds: list[int], kappa_key: str = "kappa",
 ) -> None:
-    """Refuse, naming ``key`` (the config key or flag that set it), a count
-    of ``l_used`` locations that leaves fewer than ``n_test`` of the corpus
-    to test on or that ``cfg.train_fraction`` cannot split."""
+    """Refuse a split of ``l_used`` locations that the fit of a rule in
+    ``cfg.algorithms`` would die on, naming ``key`` (the key or flag that
+    set ``l_used``) or ``kappa_key``.  Each rule draws DIFF pairs, of two
+    locations: the split leaves ``n_test`` test locations and gives 2 train
+    and 1 validation location, 2 with ``dnnc``; ``kmc`` needs ``cfg.kappa``
+    distinct vectors in the train part of the split at each of
+    ``iter_seeds``.  A split passes iff :func:`run_iteration` fits on it."""
     top = ms.n_locations - n_test
     if not 2 <= l_used <= top:
         leaving = f", leaving at least {n_test} of {ms.n_locations} to test on" if n_test else ""
         raise ConfigError(f"{key}: {l_used} locations used must be in [2, {top}]{leaving}")
     n_train, n_val = split_sizes(l_used, cfg.train_fraction)
-    if n_train < 1 or n_val < 1:
+    min_val = 2 if "dnnc" in cfg.algorithms else 1
+    if n_train < 2 or n_val < min_val:
         raise ConfigError(
             f"{key}: {l_used} locations used with train_fraction = {cfg.train_fraction} "
-            f"give {n_train} train / {n_val} validation locations, not at least 1 of each"
+            f"give {n_train} train / {n_val} validation locations; {','.join(cfg.algorithms)} "
+            f"need at least 2 / {min_val}"
         )
-
-
-def check_kappa(ms: MeasurementSet, cfg: ExperimentConfig, l_used: int, key: str) -> None:
-    """Refuse, naming ``key``, a ``cfg.kappa`` above the n_train * E vectors
-    that k-means clusters when ``l_used`` locations are split."""
-    n_train, _ = split_sizes(l_used, cfg.train_fraction)
-    n_vectors = n_train * ms.n_estimates
-    if cfg.kappa > n_vectors:
-        raise ConfigError(
-            f"{key}: {cfg.kappa} centroids need as many training vectors, but {l_used} locations "
-            f"used give {n_train} train locations x {ms.n_estimates} estimates = {n_vectors}"
-        )
+    if "kmc" not in cfg.algorithms:
+        return
+    # a train part's n_train * E vectors are distinct but for the corpus' repeated
+    # rows; on finite rows, + 0.0 makes these equal where lloyd_kmeans' np.unique does
+    rows = ms.values.reshape(-1, ms.n_features)
+    n_repeats = len(rows) - len(bm._distinct_rows(rows + 0.0)[0])
+    for iter_seed in iter_seeds if cfg.kappa > n_train * ms.n_estimates - n_repeats else ():
+        train_ids = training_split(ms, cfg, l_used, iter_seed)[0].train_ids
+        x = ms.values[np.isin(ms.location_ids, train_ids)].reshape(-1, ms.n_features)
+        n_distinct = np.unique(x, axis=0).shape[0]  # as lloyd_kmeans counts them
+        if cfg.kappa > n_distinct:
+            distinct = f", {n_distinct} of them distinct" if n_distinct < len(x) else ""
+            raise ConfigError(
+                f"{kappa_key}: {cfg.kappa} centroids need as many training vectors, but {l_used} "
+                f"locations used give {n_train} train locations x {ms.n_estimates} estimates = "
+                f"{len(x)}{distinct}"
+            )
 
 
 def training_split(
@@ -270,10 +277,9 @@ def _sweep(cfg: ExperimentConfig, sweep_var: str, key: str, points) -> EvalRepor
     """Every cell of a grid of (label, corpus, locations used) points;
     ``key`` is the config key that set the locations used."""
     points = list(points)
-    for _, ms, l_used in points:  # before any fit
-        check_locations_used(ms, cfg, l_used, key, n_test=2)
-        if "kmc" in cfg.algorithms:
-            check_kappa(ms, cfg, l_used, "kappa")
+    for s, (_, ms, l_used) in enumerate(points):  # before any fit
+        seeds = [derive_seed(cfg.master_seed, s, r) for r in range(cfg.iterations)]
+        check_locations_used(ms, cfg, l_used, key, n_test=2, iter_seeds=seeds)
     rows = []
     for s, (label, ms, l_used) in enumerate(points):
         per_alg: dict[str, list[float]] = {alg: [] for alg in cfg.algorithms}

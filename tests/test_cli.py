@@ -1,6 +1,5 @@
 import hashlib
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +9,8 @@ from rssdetect.cli import CONFIG_FIELDS, CONFIG_KEYS, main, parse_config_file, a
 from rssdetect.cli import _experiment_config, build_parser
 from rssdetect.errors import ConfigError
 from rssdetect import evaluation as ev
-from rssdetect.dataset import build_pair_set, load_measurements, split_locations
+from rssdetect.dataset import MeasurementSet, build_pair_set, load_measurements, save_measurements
+from rssdetect.dataset import split_locations
 from rssdetect.detector import DetectorModel
 from rssdetect.modelio import save_model
 from rssdetect.neural import init_params
@@ -258,8 +258,19 @@ KAPPA = "40 centroids need as many training vectors"
         # estimates), 18 at point 4; 36 at the feature sweep's 8 locations
         ("sweep-locations", "kappa = 40\n", ["--grid", "10,4", "--algorithms", "dbc2,kmc"], "kappa", KAPPA),
         ("sweep-features", "kappa = 40\n", ["--algorithms", "dbc2,kmc"], "kappa", KAPPA),
+        # every rule draws DIFF training pairs: point 2 splits 1 / 1
+        ("sweep-locations", "train_fraction = 0.5\n", ["--grid", "8,2"], "location_grid",
+         "2 locations used with train_fraction = 0.5 give 1 train / 1 validation locations"),
+        # the detector also draws DIFF validation pairs: 9 / 1 and 4 / 1
+        ("sweep-locations", "train_fraction = 0.9\n", ["--grid", "10", "--algorithms", "dnnc"],
+         "location_grid", "10 locations used with train_fraction = 0.9 give 9 train / 1 validation"),
+        ("sweep-features", "locations_used_features = 5\n", ["--algorithms", "dnnc"],
+         "locations_used_features", "5 locations used with train_fraction = 0.8 give 4 train / 1 validation"),
     ],
-    ids=["features-13", "features-1", "grid-60", "grid-2-split", "grid-4-kappa", "features-kappa"],
+    ids=[
+        "features-13", "features-1", "grid-60", "grid-2-split", "grid-4-kappa", "features-kappa",
+        "grid-2-one-train", "grid-10-dnnc-one-validation", "features-5-dnnc-one-validation",
+    ],
 )
 def test_locations_used_outside_the_corpus_is_one_error_line(
     tmp_path, small_args, capsys, monkeypatch, command, lines, flags, key, message
@@ -297,14 +308,17 @@ def test_infeasible_kappa_in_train_names_the_flag(tmp_path, small_args, capsys, 
 
 
 @pytest.mark.parametrize(
-    "lines, used, message",
+    "lines, algorithm, used, message",
     [
-        ("", "1", "1 locations used must be in [2, 14]"),
-        ("train_fraction = 0.9\n", "2", "2 locations used with train_fraction = 0.9 give 2 train"),
+        ("", "dbc2", "1", "1 locations used must be in [2, 14]"),
+        ("train_fraction = 0.9\n", "dbc2", "2", "2 locations used with train_fraction = 0.9 give 2 train"),
+        ("", "dnnc", "5", "5 locations used with train_fraction = 0.8 give 4 train / 1 validation"),
     ],
-    ids=["one-location", "no-validation-location"],
+    ids=["one-location", "no-validation-location", "dnnc-one-validation-location"],
 )
-def test_train_split_errors_name_the_flag(tmp_path, small_args, capsys, monkeypatch, lines, used, message):
+def test_train_split_errors_name_the_flag(
+    tmp_path, small_args, capsys, monkeypatch, lines, algorithm, used, message
+):
     meas = tmp_path / "meas.csv"
     assert main(["generate", "--out", str(meas), "--seed", "11", "--config", str(small_args)]) == 0
     capsys.readouterr()
@@ -312,7 +326,7 @@ def test_train_split_errors_name_the_flag(tmp_path, small_args, capsys, monkeypa
     cfg.write_text(small_args.read_text() + "\n" + lines)
     monkeypatch.setattr(ev, "fit_rule", lambda *a: pytest.fail("fitted before the check"))
     model = tmp_path / "m.model"
-    argv = ["train", "--data", str(meas), "--algorithm", "dbc2", "--model-out", str(model)]
+    argv = ["train", "--data", str(meas), "--algorithm", algorithm, "--model-out", str(model)]
     assert main(argv + ["--seed", "12", "--config", str(cfg), "--locations-used", used]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -494,19 +508,65 @@ def test_keys_that_change_no_output_are_refused(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
-def test_grid_below_ten_before_algorithms_without_dnnc_loads(tmp_path):
-    # experiment keys apply together: the grid is checked against the final
-    # algorithms, not the default ones, which include the neural detector
+def test_grid_point_with_one_validation_location_is_refused_with_dnnc(
+    tmp_path, small_args, capsys, monkeypatch
+):
+    # point 5 splits 4 train / 1 validation location: the baselines fit on
+    # it, the detector, whose validation pairs draw DIFF pairs, does not
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("location_grid = 5,8\nalgorithms = dbc1,dbc2\n")
-    loaded = apply_config(ev.ExperimentConfig(), parse_config_file(cfg))
-    assert loaded.location_grid == (5, 8) and loaded.algorithms == ("dbc1", "dbc2")
-    args = build_parser().parse_args(
-        ["sweep-locations", "--out", "r.csv", "--seed", "1", "--grid", "5,8", "--algorithms", "dbc1,dbc2"]
+    cfg.write_text(small_args.read_text() + "\nlocation_grid = 5,8\niterations = 1\n")
+    argv = ["sweep-locations", "--out", str(tmp_path / "r.csv"), "--seed", "1", "--config", str(cfg)]
+    assert main(argv + ["--algorithms", "dbc1,dbc2"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(ev, "fit_rule", lambda *a: pytest.fail("fitted before the check"))
+    out = tmp_path / "dnnc.csv"
+    argv[2] = str(out)
+    assert main(argv + ["--algorithms", "dbc1,dnnc"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: location_grid: 5 locations used with train_fraction = 0.8 "
+        "give 4 train / 1 validation locations; dbc1,dnnc need at least 2 / 2\n"
     )
-    assert _experiment_config(args) == replace(loaded, master_seed=1)
-    with pytest.raises(ConfigError, match="location_grid: values below 10"):
-        apply_config(ev.ExperimentConfig(), {"location_grid": "5,8"})
+    assert not out.exists()
+
+
+def test_infeasible_second_grid_point_is_refused_before_any_fit(tmp_path, small_args, capsys, monkeypatch):
+    # point 10 splits 8 / 2 locations, point 5 splits 4 / 1
+    monkeypatch.setattr(ev, "fit_rule", lambda *a: pytest.fail("fitted before the check"))
+    out = tmp_path / "r.csv"
+    argv = ["sweep-locations", "--out", str(out), "--seed", "2", "--config", str(small_args)]
+    assert main(argv + ["--grid", "10,5", "--algorithms", "dbc2,dnnc"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: location_grid: 5 locations used")
+    assert not out.exists() and not Path(f"{out}.raw.csv").exists()
+
+
+def test_kappa_above_the_distinct_training_vectors_is_refused_before_any_fit(tmp_path, capsys, monkeypatch):
+    # 12 locations whose 4 estimates are equal: 8 train locations hold 32
+    # training vectors, but only 8 distinct ones for k-means to start from
+    values = np.repeat(np.random.default_rng(5).normal(-70.0, 5.0, size=(12, 1, 4)), 4, axis=1)
+    meas = tmp_path / "meas.csv"
+    save_measurements(MeasurementSet(values=values, location_ids=np.arange(12)), meas)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("kappa = 20\n")
+    monkeypatch.setattr(ev, "fit_rule", lambda *a: pytest.fail("fitted before the check"))
+    out, model = tmp_path / "r.csv", tmp_path / "kmc.model"
+    common = ["--data", str(meas), "--seed", "3", "--config", str(cfg)]
+    for argv, key in (
+        (["sweep-locations", "--out", str(out), "--grid", "10,8", "--algorithms", "dbc2,kmc"], "kappa"),
+        (["train", "--algorithm", "kmc", "--model-out", str(model), "--locations-used", "10"], "--kappa"),
+    ):
+        assert main(argv + common) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {key}: 20 centroids need as many training vectors, but 10 locations used "
+            "give 8 train locations x 4 estimates = 32, 8 of them distinct\n"
+        )
+    assert not out.exists() and not model.exists()
 
 
 # every flag named after a config key: (command, flag, key, value, another value)

@@ -5,7 +5,7 @@ import pytest
 
 from rssdetect import evaluation as ev
 from rssdetect import signal_model as sm
-from rssdetect.dataset import select_features
+from rssdetect.dataset import MeasurementSet, select_features
 from rssdetect.errors import ConfigError
 from rssdetect.neural import TrainConfig
 from rssdetect.seeding import derive_seed
@@ -47,9 +47,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown algorithm"):
             small_cfg(algorithms=("dnnc", "svm"))
 
-    def test_dnnc_needs_ten_locations(self):
-        with pytest.raises(ConfigError, match="below 10"):
-            small_cfg(algorithms=("dnnc",), location_grid=(8,))
+    def test_dnnc_needs_two_validation_locations(self, monkeypatch):
+        # the config takes any grid; the sweep refuses the point that splits
+        # 4 train / 1 validation location, as the detector draws DIFF
+        # validation pairs, and names its key before any fit
+        cfg = small_cfg(algorithms=("dnnc",), location_grid=(10, 5))
+        monkeypatch.setattr(ev, "fit_rule", lambda *a: pytest.fail("fitted before the check"))
+        message = (
+            r"^location_grid: 5 locations used with train_fraction = 0.8 "
+            r"give 4 train / 1 validation locations; dnnc need at least 2 / 2$"
+        )
+        with pytest.raises(ConfigError, match=message):
+            ev.sweep_locations(cfg)
 
     def test_benchmarks_allow_small_grids(self):
         small_cfg(algorithms=("dbc2",), location_grid=(4,))
@@ -229,3 +238,65 @@ class TestHarnessSanity:
         low, high = acc_at(4), acc_at(1024)
         assert high >= low
         assert high >= 0.99
+
+
+# 12 locations x 3 estimates x 2 channels; locations 0-5 repeat one
+# vector, so how many distinct vectors a train part holds depends on the split
+_values = np.random.default_rng(3).normal(-70.0, 5.0, size=(12, 3, 2))
+_values[:6] = _values[:6, :1]
+REPEATING = MeasurementSet(values=_values, location_ids=np.arange(12))
+# kappa = 7: 2 train locations hold at most 6 vectors, 3 hold 3 to 9 distinct ones
+TINY = dict(
+    k_train=6, k_val=4, k_test=4, kappa=7,
+    train=TrainConfig(hidden_sizes=(3,), max_epochs=1, patience=1),
+)
+
+
+def _check_passes_iff_the_iteration_completes(ms, cfg, l_used, iter_seed) -> bool:
+    try:
+        ev.check_locations_used(ms, cfg, l_used, "location_grid", 2, (iter_seed,))
+        passed = True
+    except ConfigError:
+        passed = False
+    try:
+        ev.run_iteration(ms, cfg, l_used, iter_seed)
+        completed = True
+    except ValueError:
+        completed = False
+    assert passed == completed, (l_used, iter_seed, passed)
+    return passed
+
+
+@pytest.mark.parametrize("algorithm", ["dbc2", "kmc", "dnnc"])
+@pytest.mark.parametrize("train_fraction", [0.1, 0.25, 0.5, 0.8, 0.9])
+@pytest.mark.parametrize("l_used", range(2, 13))
+def test_split_check_passes_iff_the_iteration_completes(l_used, train_fraction, algorithm):
+    cfg = small_cfg(algorithms=(algorithm,), train_fraction=train_fraction, **TINY)
+    for iter_seed in range(4):
+        _check_passes_iff_the_iteration_completes(REPEATING, cfg, l_used, iter_seed)
+
+
+def test_kmc_split_check_follows_the_iteration_seed():
+    # 3 train locations: whether they hold kappa = 7 distinct vectors is the split's
+    cfg = small_cfg(algorithms=("kmc",), **TINY)
+    outcomes = set()
+    for iter_seed in range(20):
+        try:
+            ev.check_locations_used(REPEATING, cfg, 4, "location_grid", 2, (iter_seed,))
+            outcomes.add("passed")
+        except ConfigError as exc:
+            assert str(exc).startswith("kappa: 7 centroids need as many training vectors")
+            assert str(exc).endswith(" of them distinct")
+            outcomes.add("refused")
+    assert outcomes == {"passed", "refused"}
+
+
+def test_kmc_split_check_counts_signed_zeros_as_one_vector():
+    # location 0 holds 0.0 and -0.0, one vector to k-means; 3 train locations
+    # then hold 5 distinct vectors, where kappa = 6 needs 6
+    values = np.arange(12, dtype=np.float64).reshape(6, 2, 1) + 1.0
+    values[0] = [[0.0], [-0.0]]
+    ms = MeasurementSet(values=values, location_ids=np.arange(6))
+    cfg = small_cfg(algorithms=("kmc",), **{**TINY, "kappa": 6})
+    passed = [_check_passes_iff_the_iteration_completes(ms, cfg, 4, s) for s in range(12)]
+    assert any(passed) and not all(passed)
