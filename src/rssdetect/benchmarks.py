@@ -21,7 +21,6 @@ import numpy as np
 
 from .dataset import PairSet
 from .detector import Decision, checked_pair, decide
-from .seeding import as_seed_sequence
 
 LLOYD_MAX_ITER = 300  # Lloyd iterations before k-means stops short of a fixpoint
 
@@ -197,7 +196,7 @@ def lloyd_kmeans(x: np.ndarray, k: int, seed) -> KMeansResult:
         raise ValueError(
             f"k-means needs at least {k} distinct vectors, found {uniq.shape[0]}"
         )
-    rng = np.random.default_rng(as_seed_sequence(seed))
+    rng = np.random.default_rng(seed)
     centroids = uniq[rng.choice(uniq.shape[0], size=k, replace=False)].copy()
 
     labels = _assign(x, centroids)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError
-from .seeding import as_seed_sequence
 
 
 @dataclass(frozen=True)
@@ -151,40 +150,21 @@ def build_pair_set(
         raise ValueError(f"need at least 2 locations to draw DIFF pairs, got {ids.size}")
     e = ms.n_estimates
     rows = np.array([ms.index_of(int(i)) for i in ids])
-    rng = np.random.default_rng(as_seed_sequence(seed))
-
-    # SAME class
+    rng = np.random.default_rng(seed)
+    # SAME: location, then estimates; DIFF: locations, then estimates
     n_same = rng.integers(0, ids.size, size=k)
     ja, jb = _draw_distinct_pairs(rng, e, k)
-    same_rows = rows[n_same]
-    same = (
-        ms.values[same_rows, ja],
-        ms.values[same_rows, jb],
-        ids[n_same],
-        ids[n_same],
-        ja,
-        jb,
-    )
-
-    # DIFF class
     na, nb = _draw_distinct_pairs(rng, ids.size, k)
     jda, jdb = _draw_distinct_pairs(rng, e, k)
-    diff = (
-        ms.values[rows[na], jda],
-        ms.values[rows[nb], jdb],
-        ids[na],
-        ids[nb],
-        jda,
-        jdb,
-    )
-
+    na, nb = np.concatenate([n_same, na]), np.concatenate([n_same, nb])
+    ja, jb = np.concatenate([ja, jda]), np.concatenate([jb, jdb])
     return PairSet(
-        first=np.concatenate([same[0], diff[0]]),
-        second=np.concatenate([same[1], diff[1]]),
-        location_a=np.concatenate([same[2], diff[2]]),
-        location_b=np.concatenate([same[3], diff[3]]),
-        estimate_a=np.concatenate([same[4], diff[4]]).astype(np.int64),
-        estimate_b=np.concatenate([same[5], diff[5]]).astype(np.int64),
+        first=ms.values[rows[na], ja],
+        second=ms.values[rows[nb], jb],
+        location_a=ids[na],
+        location_b=ids[nb],
+        estimate_a=ja,
+        estimate_b=jb,
         k_per_class=k,
     )
 
@@ -215,7 +195,7 @@ def split_locations(
             f"infeasible split: l_used={l_used}, train_fraction={train_fraction} "
             f"gives {n_train} train / {n_val} validation locations"
         )
-    rng = np.random.default_rng(as_seed_sequence(seed))
+    rng = np.random.default_rng(seed)
     chosen = rng.choice(ms.location_ids, size=l_used, replace=False)
     test = np.setdiff1d(ms.location_ids, chosen)
     return LocationSplit(
@@ -251,23 +231,17 @@ _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max
 
 
 def save_measurements(ms: MeasurementSet, path, coords_path=None) -> None:
+    if coords_path is not None and ms.coordinates is None:
+        raise ValueError("measurement set has no coordinates to save")
     m = ms.n_features
-    header = "location_id,estimate_id," + ",".join(f"feat_{i}" for i in range(m))
     row = ",".join(["%d,%d"] + [_FLOAT_FMT] * m)
     locs = ms.location_ids.tolist()
-    lines = [header]
-    for n, estimates in enumerate(ms.values.tolist()):
-        lines.extend(row % (locs[n], j, *feats) for j, feats in enumerate(estimates))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = (row % (loc, j, *f) for loc, fs in zip(locs, ms.values.tolist()) for j, f in enumerate(fs))
+    _write_lines(path, "location_id,estimate_id," + ",".join(f"feat_{i}" for i in range(m)), rows)
     if coords_path is not None:
-        if ms.coordinates is None:
-            raise ValueError("measurement set has no coordinates to save")
         crow = ",".join(["%d"] + [_FLOAT_FMT] * 3)
-        clines = ["location_id,x,y,z"]
-        clines.extend(crow % (loc, *xyz) for loc, xyz in zip(locs, ms.coordinates.tolist()))
-        with open(coords_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(clines) + "\n")
+        xyz = ms.coordinates.tolist()
+        _write_lines(coords_path, "location_id,x,y,z", (crow % (n, *p) for n, p in zip(locs, xyz)))
 
 
 def load_measurements(path, coords_path=None) -> MeasurementSet:
@@ -282,45 +256,43 @@ def load_measurements(path, coords_path=None) -> MeasurementSet:
     if m < 1 or header[2:] != [f"feat_{i}" for i in range(m)]:
         raise DataFormatError(f"{path}: bad feature columns in header")
 
-    per_location: dict[int, dict[int, np.ndarray]] = {}
-    order: list[int] = []
+    index: dict[int, int] = {}  # location id -> location index, in file order
+    seen: set[tuple[int, int]] = set()
+    loc_index, est_ids, feats = [], [], []
     for row_no, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
-        if len(cells) != m + 2:
-            raise DataFormatError(
-                f"{path}: row {row_no}: expected {m + 2} columns, found {len(cells)}"
-            )
         try:
-            loc = int(cells[0])
-            est = int(cells[1])
+            if len(cells) != m + 2:
+                raise ValueError(f"expected {m + 2} columns, found {len(cells)}")
+            loc, est = int(cells[0]), int(cells[1])
             if not _INT64_MIN <= loc <= _INT64_MAX:
                 raise ValueError(f"location id {loc} does not fit in 64 bits")
-            feats = np.array([float(c) for c in cells[2:]])
+            row = [float(c) for c in cells[2:]]
+            if not all(map(math.isfinite, row)):
+                col = [math.isfinite(v) for v in row].index(False)
+                raise ValueError(f"non-finite value in feat_{col}")
+            if (loc, est) in seen:
+                raise ValueError(f"duplicate (location {loc}, estimate {est})")
         except ValueError as exc:
             raise DataFormatError(f"{path}: row {row_no}: {exc}") from exc
-        if not np.all(np.isfinite(feats)):
-            col = int(np.nonzero(~np.isfinite(feats))[0][0])
-            raise DataFormatError(f"{path}: row {row_no}: non-finite value in feat_{col}")
-        if loc not in per_location:
-            per_location[loc] = {}
-            order.append(loc)
-        if est in per_location[loc]:
-            raise DataFormatError(f"{path}: row {row_no}: duplicate (location {loc}, estimate {est})")
-        per_location[loc][est] = feats
+        seen.add((loc, est))
+        loc_index.append(index.setdefault(loc, len(index)))
+        est_ids.append(est)
+        feats.append(row)
 
-    e_counts = {len(v) for v in per_location.values()}
+    e_counts = np.unique(np.bincount(loc_index)).tolist()
     if len(e_counts) != 1:
-        raise DataFormatError(f"{path}: locations have inconsistent estimate counts {sorted(e_counts)}")
-    e = e_counts.pop()
+        raise DataFormatError(f"{path}: locations have inconsistent estimate counts {e_counts}")
+    e = e_counts[0]
     if e < 2:
         raise DataFormatError(f"{path}: need at least 2 estimates per location, found {e}")
+    # each location holds e distinct estimate ids: they are 0..e-1 unless one is out of range
+    order = list(index)
+    bad = [n for n, j in zip(loc_index, est_ids) if not 0 <= j < e]
+    if bad:
+        raise DataFormatError(f"{path}: location {order[min(bad)]}: estimate ids must be 0..{e - 1}")
     values = np.empty((len(order), e, m))
-    for n, loc in enumerate(order):
-        ests = per_location[loc]
-        if sorted(ests) != list(range(e)):
-            raise DataFormatError(f"{path}: location {loc}: estimate ids must be 0..{e - 1}")
-        for j in range(e):
-            values[n, j] = ests[j]
+    values[loc_index, est_ids] = feats
 
     coordinates = None
     if coords_path is not None:
@@ -341,20 +313,33 @@ def _read_lines(path) -> list[str]:
         raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
+def _write_lines(path, header: str, rows) -> None:
+    """Write ``header``, then each string of ``rows``, one UTF-8 line each."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join([header, *rows]) + "\n")
+
+
 def _load_coordinates(path, location_order: list[int]) -> np.ndarray:
+    """The (x, y, z) row of each location, in ``location_order``; a row
+    with a non-finite coordinate or a repeated location id is refused."""
     lines = [ln.strip() for ln in _read_lines(path) if ln.strip()]
     if not lines or lines[0] != "location_id,x,y,z":
         raise DataFormatError(f"{path}: bad coordinates header")
-    coords: dict[int, np.ndarray] = {}
+    coords: dict[int, list[float]] = {}
     for row_no, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
-        if len(cells) != 4:
-            raise DataFormatError(f"{path}: row {row_no}: expected 4 columns")
         try:
-            coords[int(cells[0])] = np.array([float(c) for c in cells[1:]])
+            if len(cells) != 4:
+                raise ValueError("expected 4 columns")
+            loc, xyz = int(cells[0]), [float(c) for c in cells[1:]]
+            if not all(map(math.isfinite, xyz)):
+                raise ValueError(f"non-finite coordinate in {cells[1:]}")
+            if loc in coords:
+                raise ValueError(f"repeated location id {loc}")
         except ValueError as exc:
             raise DataFormatError(f"{path}: row {row_no}: {exc}") from exc
+        coords[loc] = xyz
     missing = [loc for loc in location_order if loc not in coords]
     if missing:
         raise DataFormatError(f"{path}: missing coordinates for locations {missing}")
-    return np.stack([coords[loc] for loc in location_order])
+    return np.array([coords[loc] for loc in location_order])

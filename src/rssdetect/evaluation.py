@@ -20,27 +20,6 @@ training (which spawns its own train/validation pair streams), and
 4 k-means.  Paths never collide, so iterations may run in any order (or
 concurrently) with identical results; reports reduce raw accuracies in
 fixed iteration order for bit-stable output.
-
-Seed-contract bump (float32 training): the detector now trains in
-float32 (see :func:`detector.train_detector`).  The seeds and streams
-above are unchanged, but every DNNC model, history and report byte
-differs from the float64-training releases.  Synthesis, the DBC/KMC
-baselines and their reports are byte-identical across the bump.
-
-Decision change (float32 decisions): a trained detector now keeps its
-float32 weights and scores in float32, one 2-row pass per pair (see the
-``detector`` module docstring).  Seeds, streams, fits and histories are
-unchanged, so are the weights' values; every DNNC statistic changes in
-its last bits, and a DNNC accuracy in a report changes where a test
-decision flips sign.  Synthesis, the DBC/KMC baselines and their files
-are byte-identical across it.
-
-Seed-contract bump (synthesis streams): each location of a synthetic
-corpus now draws from one generator (see the ``signal_model`` module
-docstring) instead of one stream per window.  The paths above are
-unchanged, but every synthesized corpus changes, and with it every
-report, model and history fitted on one.  Everything computed from a
-``measurements_path`` file is byte-identical across the bump.
 """
 
 from __future__ import annotations
@@ -53,7 +32,7 @@ import numpy as np
 from . import benchmarks as bm
 from . import detector as det
 from .dataset import LocationSplit, MeasurementSet, PairSet
-from .dataset import _read_lines, build_pair_set, load_measurements, select_features
+from .dataset import _read_lines, _write_lines, build_pair_set, load_measurements, select_features
 from .dataset import split_locations, split_sizes
 from .errors import ConfigError, DataFormatError
 from .neural import TrainConfig, TrainHistory
@@ -324,23 +303,17 @@ def sweep_features(cfg: ExperimentConfig) -> EvalReport:
 
 def emit_report(report: EvalReport, path, raw_path=None) -> None:
     """Write the summary CSV; optionally the per-iteration raw CSV."""
-    lines = [REPORT_HEADER]
-    for row in report.rows:
-        lines.append(
-            f"{row.algorithm},{row.sweep_var},{row.sweep_value},"
-            f"{row.mean_accuracy!r},{row.std_error!r},{row.iterations}"
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, REPORT_HEADER, (
+        f"{row.algorithm},{row.sweep_var},{row.sweep_value},"
+        f"{row.mean_accuracy!r},{row.std_error!r},{row.iterations}"
+        for row in report.rows
+    ))
     if raw_path is not None:
-        rlines = [RAW_HEADER]
-        for row in report.rows:
-            for r, acc in enumerate(row.raw_accuracies):
-                rlines.append(
-                    f"{row.algorithm},{row.sweep_var},{row.sweep_value},{r},{acc!r}"
-                )
-        with open(raw_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(rlines) + "\n")
+        _write_lines(raw_path, RAW_HEADER, (
+            f"{row.algorithm},{row.sweep_var},{row.sweep_value},{r},{acc!r}"
+            for row in report.rows
+            for r, acc in enumerate(row.raw_accuracies)
+        ))
 
 
 def _unit_interval(what: str, text: str) -> float:
@@ -420,11 +393,10 @@ def read_report_raw(path) -> dict[tuple[str, str], list[float]]:
 
 def emit_history(history: TrainHistory, path) -> None:
     """Write a per-epoch training history CSV."""
-    lines = [HISTORY_HEADER]
-    for epoch, (loss, acc) in enumerate(zip(history.train_loss, history.val_accuracy)):
-        lines.append(f"{epoch},{loss!r},{acc!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, HISTORY_HEADER, (
+        f"{epoch},{loss!r},{acc!r}"
+        for epoch, (loss, acc) in enumerate(zip(history.train_loss, history.val_accuracy))
+    ))
 
 
 def with_scenario(cfg: ExperimentConfig, **scenario_fields) -> ExperimentConfig:

@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonFiniteLossError
-from .seeding import as_seed_sequence
 
 
 @dataclass
@@ -153,7 +152,7 @@ def init_params(layer_sizes, seed: int, scale: float = 1.0) -> MlpParams:
         raise ValueError("layer_sizes must name at least input and output widths")
     if min(sizes) < 1:
         raise ValueError(f"layer sizes must be >= 1, got {min(sizes)} in {sizes}")
-    rng = np.random.default_rng(as_seed_sequence(seed))
+    rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         c = scale / math.sqrt(fan_in)
@@ -211,25 +210,6 @@ def _leaky_relu_backprop(delta: np.ndarray, z: np.ndarray, slope: float, factor:
     np.multiply(delta, factor, out=delta)
 
 
-def _forward(params: MlpParams, a: np.ndarray, negative_slope: float, ws: Workspace):
-    """(outputs (B,), pre-activations, activations) of a (B, fan_in) batch.
-
-    Every layer writes into the workspace's buffers, which then form the
-    cache.
-    """
-    _check_slope(negative_slope)
-    rows = a.shape[0]
-    if rows > ws.rows:
-        raise ValueError(f"batch of {rows} rows exceeds the workspace's {ws.rows}")
-    pre = []
-    acts = [a]
-    for layer, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
-        pre.append(_affine(a, w, b, ws.pre[layer][:rows]))
-        a = _leaky_relu(pre[-1], negative_slope, ws.acts[layer][:rows])
-        acts.append(a)
-    return _affine(a, params.weights[-1], params.biases[-1], ws.out[:rows])[:, 0], pre, acts
-
-
 def forward(params: MlpParams, x: np.ndarray, negative_slope: float = 0.01):
     """Evaluate the network.
 
@@ -280,8 +260,18 @@ def forward_cached(
     that workspace and hold until its next use.
     """
     a = np.asarray(x, dtype=params.weights[0].dtype)
-    ws = Workspace(params, a.shape[0]) if workspace is None else workspace
-    out, pre, acts = _forward(params, a, negative_slope, ws)
+    rows = a.shape[0]
+    ws = Workspace(params, rows) if workspace is None else workspace
+    _check_slope(negative_slope)
+    if rows > ws.rows:
+        raise ValueError(f"batch of {rows} rows exceeds the workspace's {ws.rows}")
+    # every layer writes into the workspace's buffers, which then form the cache
+    pre, acts = [], [a]
+    for layer, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
+        pre.append(_affine(a, w, b, ws.pre[layer][:rows]))
+        a = _leaky_relu(pre[-1], negative_slope, ws.acts[layer][:rows])
+        acts.append(a)
+    out = _affine(a, params.weights[-1], params.biases[-1], ws.out[:rows])[:, 0]
     return out, (pre, acts, ws)
 
 
@@ -370,7 +360,7 @@ def train_loop(
     def diverged(what: str) -> NonFiniteLossError:
         return NonFiniteLossError(f"{what}; try a smaller learning rate (currently {cfg.learning_rate})")
 
-    rng = np.random.default_rng(as_seed_sequence(seed))
+    rng = np.random.default_rng(seed)
     history = TrainHistory()
     best = params.copy()
     best_acc = -math.inf

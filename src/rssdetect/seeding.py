@@ -1,7 +1,10 @@
 """Deterministic seed derivation.
 
 Every randomized operation takes a seed and builds its own PCG64
-generator, so runs are reproducible and safely parallelizable.  Nested
+generator, so runs are reproducible and safely parallelizable.  A seed,
+an int or a ``SeedSequence``, goes straight to ``np.random.default_rng``,
+which seeds both the same way: ``default_rng(s)`` and
+``default_rng(SeedSequence(s))`` draw the same stream.  Nested
 streams are derived with ``numpy.random.SeedSequence`` spawn keys: the
 mixing function H(master, *path) is SeedSequence(master, spawn_key=path),
 whose output streams are independent and collision-free for distinct
@@ -12,15 +15,6 @@ numpy's own ``SeedSequence.spawn`` (see :mod:`rssdetect.signal_model`).
 from __future__ import annotations
 
 import numpy as np
-
-SeedLike = "int | np.random.SeedSequence"
-
-
-def as_seed_sequence(seed) -> np.random.SeedSequence:
-    """Wrap an int seed; pass SeedSequence instances through unchanged."""
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
 
 
 def derive_seed(master_seed: int, *path: int) -> int:

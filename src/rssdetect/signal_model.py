@@ -39,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegeneratePowerError
-from .seeding import SeedLike
 
 # Windows per synthesis block (whole locations, or one location when E*M
 # is larger).  Like detector.BLOCK_PAIRS, it bounds working memory and no
@@ -135,15 +134,25 @@ def _validate_config(config: ScenarioConfig) -> None:
     for axis, (lo, hi) in zip("xyz", config.region):
         if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
             raise ConfigError(f"region {axis} bounds must satisfy low < high, got ({lo}, {hi})")
-    if config.receiver_positions is not None and len(config.receiver_positions) < 1:
-        raise ConfigError("receiver_positions must contain at least one receiver")
+    if config.receiver_positions is not None:
+        if len(config.receiver_positions) < 1:
+            raise ConfigError("receiver_positions must contain at least one receiver")
+        for i, pos in enumerate(config.receiver_positions):
+            if len(pos) != 3 or not all(map(math.isfinite, pos)):
+                raise ConfigError(f"receiver_positions: receiver {i} is not three finite numbers: {pos}")
+    # -inf stays legal for the two powers: a silent transmitter, noise-free windows
+    for name in ("path_loss_exponent", "shadowing_std_db", "gain_drift_std_db", "tx_power_dbm",
+                 "noise_dbm"):
+        value = getattr(config, name)
+        if math.isnan(value) or value == math.inf:
+            raise ConfigError(f"{name} must not be nan or +inf, got {value}")
     if config.path_loss_exponent <= 0:
         raise ConfigError(f"path_loss_exponent must be > 0, got {config.path_loss_exponent}")
     if config.shadowing_std_db < 0:
         raise ConfigError(f"shadowing_std_db must be >= 0, got {config.shadowing_std_db}")
     if config.gain_drift_std_db < 0:
         raise ConfigError(f"gain_drift_std_db must be >= 0, got {config.gain_drift_std_db}")
-    if config.gain_group_radius_m < 0:
+    if not config.gain_group_radius_m >= 0:
         raise ConfigError(f"gain_group_radius_m must be >= 0, got {config.gain_group_radius_m}")
 
 
@@ -161,23 +170,16 @@ def _default_receiver_layout(region) -> np.ndarray:
 
 
 def _group_receivers(receivers: np.ndarray, radius: float) -> np.ndarray:
-    """Connected components of receivers under pairwise distance <= radius."""
-    m = receivers.shape[0]
-    labels = np.full(m, -1, dtype=np.int64)
-    dist = np.linalg.norm(receivers[:, None, :] - receivers[None, :, :], axis=2)
-    next_label = 0
-    for i in range(m):
-        if labels[i] >= 0:
-            continue
-        stack = [i]
-        labels[i] = next_label
-        while stack:
-            j = stack.pop()
-            for k in np.nonzero((dist[j] <= radius) & (labels < 0))[0]:
-                labels[k] = next_label
-                stack.append(int(k))
-        next_label += 1
-    return labels
+    """Connected components of receivers under pairwise distance <= radius,
+    numbered in order of their lowest receiver index: each label starts as
+    its receiver's index and falls to its neighbours' lowest until none does."""
+    near = np.linalg.norm(receivers[:, None, :] - receivers[None, :, :], axis=2) <= radius
+    labels = np.arange(receivers.shape[0])
+    while True:
+        lowest = np.where(near, labels, labels[:, None]).min(axis=1)
+        if np.array_equal(lowest, labels):
+            return np.unique(labels, return_inverse=True)[1]
+        labels = lowest
 
 
 def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
@@ -188,7 +190,7 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
     invariant is hard).
     """
     _validate_config(config)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed)
     bounds = np.asarray(config.region, dtype=float)
 
     locations = rng.uniform(bounds[:, 0], bounds[:, 1], size=(config.n_locations, 3))
@@ -200,7 +202,7 @@ def generate_scenario(config: ScenarioConfig, seed: int) -> Scenario:
         locations[dup] = rng.uniform(bounds[:, 0], bounds[:, 1], size=(dup.size, 3))
 
     if config.receiver_positions is not None:
-        receivers = np.asarray(config.receiver_positions, dtype=float).reshape(-1, 3)
+        receivers = np.asarray(config.receiver_positions, dtype=float)
     else:
         receivers = _default_receiver_layout(config.region)
 
@@ -309,7 +311,7 @@ def draw_sample_window(
     location_id: int,
     receiver_id: int,
     n_samples: int,
-    seed: SeedLike,
+    seed: int | np.random.SeedSequence,
     extra_gain_db: float = 0.0,
 ) -> SampleWindow:
     """Draw one window of complex baseband samples, r[k] = h*x[k] + v[k].
@@ -384,7 +386,7 @@ def _estimate_vectors(
 
 
 def estimate_rss_vector(
-    scenario: Scenario, location_id: int, n_samples: int, seed: SeedLike
+    scenario: Scenario, location_id: int, n_samples: int, seed: int | np.random.SeedSequence
 ) -> np.ndarray:
     """One RSS vector estimate: every channel measured once, in dBm.
 

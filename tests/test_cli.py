@@ -508,6 +508,49 @@ def test_keys_that_change_no_output_are_refused(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("receiver_positions = 0,0,2,1,1,2", "receiver_positions"),  # one receiver, six numbers
+        ("receiver_positions = 0,0;1,1,2", "receiver_positions"),
+        ("receiver_positions = 0,0,2;1,nan,2", "receiver_positions"),
+        ("receiver_positions = 0,0,2;1,inf,2", "receiver_positions"),
+        ("path_loss_exponent = nan", "path_loss_exponent"),
+        ("path_loss_exponent = inf", "path_loss_exponent"),
+        ("shadowing_std_db = nan", "shadowing_std_db"),
+        ("shadowing_std_db = inf", "shadowing_std_db"),
+        ("noise_dbm = nan", "noise_dbm"),
+        ("noise_dbm = inf", "noise_dbm"),
+        ("gain_drift_std_db = nan", "gain_drift_std_db"),
+        ("gain_drift_std_db = inf", "gain_drift_std_db"),
+        ("tx_power_dbm = nan", "tx_power_dbm"),
+        ("tx_power_dbm = inf", "tx_power_dbm"),
+        ("gain_group_radius_m = nan", "gain_group_radius_m"),
+    ],
+)
+def test_bad_scenario_value_is_one_error_line_naming_the_key(tmp_path, capsys, line, key):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "m.csv"
+    argv = ["generate", "--out", str(out), "--seed", "1", "--config", str(cfg)]
+    assert main(argv + ["--locations", "6", "--estimates", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {key}") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["tx_power_dbm = -inf", "noise_dbm = -inf"])
+def test_minus_inf_power_stays_legal(tmp_path, line):
+    # a silent transmitter above the noise floor; noise-free windows
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "m.csv"
+    argv = ["generate", "--out", str(out), "--seed", "1", "--config", str(cfg)]
+    assert main(argv + ["--locations", "6", "--estimates", "4"]) == 0
+    assert load_measurements(out).values.shape == (6, 4, 16)
+
+
 def test_grid_point_with_one_validation_location_is_refused_with_dnnc(
     tmp_path, small_args, capsys, monkeypatch
 ):

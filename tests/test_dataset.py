@@ -233,6 +233,53 @@ class TestMeasurementFile:
         with pytest.raises(DataFormatError, match="UTF-8"):
             ds.load_measurements(path, coords_path=coords)
 
+    def test_first_defect_in_file_order_is_named(self, tmp_path):
+        # a non-finite value at row 3 comes before a short row at row 5
+        path = tmp_path / "two.csv"
+        path.write_text(
+            "location_id,estimate_id,feat_0,feat_1\n"
+            "0,0,-70,-71\n0,1,-70,inf\n1,0,-72,-73\n1,1,-72\n"
+        )
+        with pytest.raises(DataFormatError, match="row 3: non-finite value in feat_1"):
+            ds.load_measurements(path)
+        # locations 9 and 2 both hold an estimate id out of 0..1; location
+        # 2's comes first in the file, location 9 is first in file order
+        path.write_text(
+            "location_id,estimate_id,feat_0\n9,0,-70\n2,0,-71\n2,5,-72\n9,7,-73\n4,0,-1\n4,1,-2\n"
+        )
+        with pytest.raises(DataFormatError, match=r"location 9: estimate ids must be 0\.\.1"):
+            ds.load_measurements(path)
+
+    def test_estimates_in_any_row_order_load_by_id(self, tmp_path):
+        path = tmp_path / "shuffled.csv"
+        path.write_text("location_id,estimate_id,feat_0\n5,1,-2\n3,1,-4\n5,0,-1\n3,0,-3\n")
+        ms = ds.load_measurements(path)
+        assert ms.location_ids.tolist() == [5, 3]
+        assert ms.values[..., 0].tolist() == [[-1.0, -2.0], [-3.0, -4.0]]
+
+    @pytest.mark.parametrize(
+        "rows, row_no, what",
+        [
+            ("7,nan,0,0\n9,1,1,1\n", 2, "non-finite coordinate"),
+            ("7,0,0,0\n9,1,-inf,1\n", 3, "non-finite coordinate"),
+            ("7,0,0,0\n9,1,1,1\n9,2,2,2\n", 4, "repeated location id 9"),
+        ],
+    )
+    def test_bad_coordinates_name_the_row(self, tmp_path, rows, row_no, what):
+        path, coords = tmp_path / "meas.csv", tmp_path / "locations.csv"
+        ds.save_measurements(make_corpus(l=2, e=2, m=1, ids=[7, 9]), path)
+        coords.write_text("location_id,x,y,z\n" + rows)
+        with pytest.raises(DataFormatError, match=f"row {row_no}: {what}"):
+            ds.load_measurements(path, coords_path=coords)
+
+    def test_saving_missing_coordinates_writes_nothing(self, tmp_path):
+        ms = make_corpus(l=3, e=2, m=2)
+        bare = ds.MeasurementSet(values=ms.values, location_ids=ms.location_ids)
+        path, coords = tmp_path / "meas.csv", tmp_path / "locations.csv"
+        with pytest.raises(ValueError, match="no coordinates"):
+            ds.save_measurements(bare, path, coords_path=coords)
+        assert not path.exists() and not coords.exists()
+
     def test_location_id_beyond_int64_rejected(self, tmp_path):
         path = tmp_path / "big.csv"
         big = 2**63

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from rssdetect.errors import ConfigError, DegeneratePowerError
 from rssdetect import signal_model as sm
@@ -471,3 +473,44 @@ class TestCampaignBits:
             sm.simulate_measurement_set(sc, n_estimates=2, n_samples=8, seed=1)
         with pytest.raises(DegeneratePowerError, match="all-zero"):
             sm.estimate_rss_vector(sc, 1, 8, seed=1)
+
+
+def reference_group_receivers(receivers: np.ndarray, radius: float) -> np.ndarray:
+    """The explicit-stack depth-first search that numbered receiver groups
+    before min-label propagation: components of distance <= radius, in
+    order of their lowest receiver index."""
+    m = receivers.shape[0]
+    labels = np.full(m, -1, dtype=np.int64)
+    dist = np.linalg.norm(receivers[:, None, :] - receivers[None, :, :], axis=2)
+    next_label = 0
+    for i in range(m):
+        if labels[i] >= 0:
+            continue
+        stack = [i]
+        labels[i] = next_label
+        while stack:
+            j = stack.pop()
+            for k in np.nonzero((dist[j] <= radius) & (labels < 0))[0]:
+                labels[k] = next_label
+                stack.append(int(k))
+        next_label += 1
+    return labels
+
+
+# coordinates on a coarse grid, so that repeated positions and distances of
+# exactly the radius both occur
+_COORD = st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0])
+_RECEIVERS = st.lists(st.tuples(_COORD, _COORD, _COORD), min_size=1, max_size=12)
+
+
+class TestGroupReceivers:
+    @given(receivers=_RECEIVERS, radius=st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, math.inf]))
+    # chains, in order and shuffled, whose two end receivers only
+    # transitivity joins; at radius 0 only repeated positions share a group
+    @example(receivers=[(0.5 * i, 0.0, 0.0) for i in range(6)], radius=0.5)
+    @example(receivers=[(0.5 * i, 0.0, 0.0) for i in (5, 0, 4, 1, 3, 2)], radius=0.5)
+    @example(receivers=[(0.0, 0.0, 0.0), (3.0, 0.0, 0.0), (0.0, 0.0, 0.0)], radius=0.0)
+    def test_matches_depth_first_search(self, receivers, radius):
+        rx = np.array(receivers, dtype=float)
+        got = sm._group_receivers(rx, radius)
+        assert got.tolist() == reference_group_receivers(rx, radius).tolist()
