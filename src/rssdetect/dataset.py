@@ -47,8 +47,12 @@ class MeasurementSet:
             raise DataFormatError(
                 f"non-finite value at location index {n}, estimate {j}, feature {m}"
             )
-        if self.coordinates is not None and self.coordinates.shape != (l, 3):
-            raise DataFormatError("coordinates must be (L, 3)")
+        if self.coordinates is not None:
+            if self.coordinates.shape != (l, 3):
+                raise DataFormatError("coordinates must be (L, 3)")
+            if not np.all(np.isfinite(self.coordinates)):
+                n = np.argwhere(~np.isfinite(self.coordinates))[0, 0]
+                raise DataFormatError(f"non-finite coordinate at location index {n}")
 
     @property
     def n_locations(self) -> int:

@@ -1,12 +1,15 @@
 """Synthetic narrowband channel and short-term RSS estimation.
 
 Physical picture: a transmitter somewhere in a 3-D region emits a
-unit-power complex tone; M static receiver channels observe it through a
+unit-power carrier; M static receiver channels observe it through a
 log-distance path-loss channel with frozen log-normal shadowing, plus
 circular white Gaussian noise.  Each channel estimates the received
 signal strength (RSS) by averaging the squared magnitude of a short
 window of N_s baseband samples, so the estimate fluctuates around the
-true RSS; that fluctuation is the whole point of the exercise.
+true RSS; that fluctuation is the whole point of the exercise.  A window
+is r[k] = h + v[k], the carrier at baseband: with circular noise, a
+carrier frequency or phase would only rotate the samples and change no
+estimate's distribution.
 
 All powers are in dBm (dB relative to 1 mW); sample amplitudes are in
 sqrt(mW).  Every operation is pure given its inputs and seed.
@@ -14,21 +17,20 @@ sqrt(mW).  Every operation is pure given its inputs and seed.
 Random streams of a campaign (fixed: changing them changes every output
 bit): location n draws from one generator, ``default_rng`` on child n of
 ``SeedSequence(seed)`` (spawn key (n,)).  It draws, in this order, the
-(E, G) standard normals of its per-group gain drift, the (E, M) uniforms
-of its tone phases, and the (E, M, 2, N_s) standard normals of its
-noise, each window's N_s real parts before its N_s imaginary parts.  All
-three arrays are drawn for every location, whether the drift or the
-noise is zero or not, each with one call writing into the arrays of the
-current block.  ``estimate_rss_vector`` is the same kernel with E = 1 on
+(E, G) standard normals of its per-group gain drift and the
+(E, M, 2, N_s) standard normals of its noise, each window's N_s real
+parts before its N_s imaginary parts.  Both arrays are drawn for every
+location, whether the drift or the noise is zero or not, each with one
+call writing into the arrays of the current block.
+``estimate_rss_vector`` is the same kernel with E = 1 on
 ``default_rng(seed)``.
 
 Synthesis runs in blocks of whole locations, as many as fit in
 ``BLOCK_WINDOWS`` windows (E*M per location), or one location when E*M
-is larger.  A block's windows are toned, summed and averaged as one
-batch, so working memory is a few (BLOCK_WINDOWS, N_s) arrays, whatever
-L is: a tracemalloc peak of about 1.5 MB for the default 52 x 64 x 16
-campaign (0.43 MB of it the output).  The blocking changes no output
-bit.
+is larger.  A block's windows are summed and averaged as one batch, so
+working memory is a few (BLOCK_WINDOWS, N_s) arrays, whatever L is: a
+tracemalloc peak of about 1.5 MB for the default 52 x 64 x 16 campaign
+(0.43 MB of it the output).  The blocking changes no output bit.
 """
 
 from __future__ import annotations
@@ -47,11 +49,6 @@ BLOCK_WINDOWS = 1024
 
 # Path loss at 1 m, in dB; only tx_power_dbm minus it enters a received power.
 REFERENCE_LOSS_DB = 40.0
-
-# Tone frequency, in cycles per sample.  With circular white noise it changes
-# which draws an RSS estimate sees, not their distribution, so like a seed it
-# is no config key.
-TONE_CYCLES_PER_SAMPLE = 0.25
 
 
 def db_to_linear(power_db: float) -> float:
@@ -231,13 +228,14 @@ def _check_ids(scenario: Scenario, location_id: int, receiver_id: int | None = N
 def _signal_power_dbm(scenario: Scenario, location_ids) -> np.ndarray:
     """Signal-only received power at each location on each channel, in dBm, shape (P, M).
 
-    Each distance is numpy's vector dot kernel, the one ``np.linalg.norm``
-    of a single vector uses, so it is bit for bit that norm; the loss is
+    Each distance is sqrt((dx*dx + dy*dy) + dz*dz) in elementwise ufuncs,
+    with no BLAS dot whose bits would follow the CPU's kernel; the loss is
     ``math.log10`` per value.
     """
     cfg = scenario.config
     d = scenario.locations[location_ids, None, :] - scenario.receivers
-    dist = np.sqrt(np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0])
+    sq = d * d
+    dist = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
     loss = [10.0 * cfg.path_loss_exponent * math.log10(v) for v in dist.ravel().tolist()]
     return (
         cfg.tx_power_dbm
@@ -265,24 +263,17 @@ def true_rss(scenario: Scenario, location_id: int) -> np.ndarray:
     return np.array([linear_to_db(db_to_linear(p) + noise_lin) for p in signal_dbm])
 
 
-def _sample_windows(
-    cfg: ScenarioConfig, amplitudes: np.ndarray, phases: np.ndarray, normals: np.ndarray
-) -> np.ndarray:
+def _sample_windows(cfg: ScenarioConfig, amplitudes: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """Complex samples of ``len(amplitudes)`` windows, one window per row.
 
-    Window i has tone amplitude ``amplitudes[i]``, initial phase
-    ``phases[i]`` and noise ``normals[i]`` (shape (2, N_s): standard
-    normal real parts, then imaginary parts, scaled here to the noise
-    power).  Everything is elementwise over the rows, so a window's
-    samples do not depend on which other windows share the call.
+    Window i has carrier amplitude ``amplitudes[i]`` and noise
+    ``normals[i]`` (shape (2, N_s): standard normal real parts, then
+    imaginary parts, scaled here to the noise power).  Everything is
+    elementwise over the rows, so a window's samples do not depend on
+    which other windows share the call.
     """
-    n_samples = normals.shape[-1]
-    k = np.arange(n_samples)
-    tone = amplitudes[:, None] * np.exp(
-        1j * (2.0 * math.pi * TONE_CYCLES_PER_SAMPLE * k + phases[:, None])
-    )
     noise = math.sqrt(db_to_linear(cfg.noise_dbm) / 2.0) * (normals[:, 0] + 1j * normals[:, 1])
-    return tone + noise
+    return amplitudes[:, None] + noise
 
 
 def _mean_power(samples: np.ndarray) -> np.ndarray:
@@ -314,24 +305,20 @@ def draw_sample_window(
     seed: int | np.random.SeedSequence,
     extra_gain_db: float = 0.0,
 ) -> SampleWindow:
-    """Draw one window of complex baseband samples, r[k] = h*x[k] + v[k].
+    """Draw one window of complex baseband samples, r[k] = h + v[k].
 
-    x[k] is a unit-power complex tone at ``TONE_CYCLES_PER_SAMPLE`` with
-    a random initial phase; |h|^2 equals the linear received signal
-    power shifted by ``extra_gain_db``; v[k] is i.i.d. circular Gaussian
-    at the configured noise power.  ``default_rng(seed)`` draws the
-    uniform phase, then N_s real and N_s imaginary noise normals.
-    Deterministic given seed; campaign synthesis does not call it.
+    h is the carrier at baseband, real and positive, with h^2 the linear
+    received signal power shifted by ``extra_gain_db``; v[k] is i.i.d.
+    circular Gaussian at the configured noise power.  ``default_rng(seed)``
+    draws N_s real, then N_s imaginary noise normals.  Deterministic
+    given seed; campaign synthesis does not call it.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     p_rx = received_power_dbm(scenario, location_id, receiver_id) + extra_gain_db
     amplitude = np.array([math.sqrt(db_to_linear(p_rx))])
-    rng = np.random.default_rng(seed)
-    # Generator.uniform(0, 2*pi) is 0.0 + 2*pi * random(), bit for bit
-    phase = 2.0 * math.pi * rng.random(1)
-    normals = rng.standard_normal((1, 2, n_samples))
-    samples = _sample_windows(scenario.config, amplitude, phase, normals)
+    normals = np.random.default_rng(seed).standard_normal((1, 2, n_samples))
+    samples = _sample_windows(scenario.config, amplitude, normals)
     return SampleWindow(location_id=location_id, receiver_id=receiver_id, samples=samples[0])
 
 
@@ -352,7 +339,7 @@ def _estimate_vectors(
     """RSS vector estimates at a block of locations, in dBm, shape (P, E, M).
 
     Location ``location_ids[p]`` draws from generator ``rngs[p]``, in the
-    module docstring's order: gain drift, phases, noise.  All P*E*M
+    module docstring's order: gain drift, then noise.  All P*E*M
     windows are synthesized in one batch.
     """
     if n_samples < 1:
@@ -362,11 +349,9 @@ def _estimate_vectors(
     n_locations = len(location_ids)
     n_groups = int(scenario.receiver_group.max()) + 1
     drift = np.empty((n_locations, n_estimates, n_groups))
-    uniforms = np.empty((n_locations, n_estimates, m))
     normals = np.empty((n_locations, n_estimates, m, 2, n_samples))
-    for rng, d, u, z in zip(rngs, drift, uniforms, normals, strict=True):
+    for rng, d, z in zip(rngs, drift, normals, strict=True):
         rng.standard_normal(out=d)
-        rng.random(out=u)
         rng.standard_normal(out=z)
     p_rx = _signal_power_dbm(scenario, location_ids)[:, None, :] + (
         cfg.gain_drift_std_db * drift[:, :, scenario.receiver_group]
@@ -375,8 +360,7 @@ def _estimate_vectors(
     # db_to_linear's ``**`` per value: numpy's ``power`` differs from it in
     # the last bit on some inputs
     amplitudes = np.array([math.sqrt(10.0 ** (p / 10.0)) for p in p_rx.ravel().tolist()])
-    phases = 2.0 * math.pi * uniforms.ravel()
-    samples = _sample_windows(cfg, amplitudes, phases, normals.reshape(-1, 2, n_samples))
+    samples = _sample_windows(cfg, amplitudes, normals.reshape(-1, 2, n_samples))
     values = _rss_db(
         _mean_power(samples),
         np.repeat(location_ids, n_estimates * m),

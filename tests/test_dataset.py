@@ -57,6 +57,18 @@ class TestMeasurementSet:
         with pytest.raises(DataFormatError, match="location index 1"):
             ds.MeasurementSet(values=values, location_ids=np.arange(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_coordinates(self, tmp_path, bad):
+        ms = make_corpus(l=4, e=2, m=2, seed=3)
+        coordinates = ms.coordinates.copy()
+        coordinates[2, 1] = bad
+        with pytest.raises(DataFormatError, match="non-finite coordinate at location index 2"):
+            ds.MeasurementSet(values=ms.values, location_ids=ms.location_ids, coordinates=coordinates)
+        # the finite set it came from saves and loads back bit for bit
+        path, coords = tmp_path / "meas.csv", tmp_path / "locations.csv"
+        ds.save_measurements(ms, path, coords_path=coords)
+        assert ds.load_measurements(path, coords_path=coords).coordinates.tobytes() == ms.coordinates.tobytes()
+
     def test_rejects_duplicate_ids(self):
         with pytest.raises(DataFormatError, match="distinct"):
             make_corpus(l=3, ids=[0, 1, 1])

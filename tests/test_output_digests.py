@@ -1,18 +1,28 @@
 """SHA-256 of files the program writes, pinned at a fixed input.
 
 The digests of files that start from a synthesized campaign were
-re-taken when synthesis moved to one random stream per location, a
-declared seed-contract bump; the coordinates digest and the
-measurement-file report digest were taken before it and held across it.
+re-taken at two declared seed-contract bumps: when synthesis moved to
+one random stream per location, and when sample windows dropped the
+carrier tone and its phase draws (and distances their BLAS dot).  The
+coordinates digest and the measurement-file report digest were taken
+before both and held across them.
 Any change to a digest here is a change in the program's output.
-Platform: numpy 2.4, x86-64.
+Platform: numpy 2.4, x86-64.  DNNC bytes also follow the BLAS kernel,
+so their pins name one: see ``test_dnnc_pipeline_digests``.
 """
 
 import hashlib
+import os
+import platform
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import rssdetect
 from rssdetect import benchmarks as bm
 from rssdetect import dataset as ds
 from rssdetect import evaluation as ev
@@ -39,7 +49,7 @@ def test_saved_measurements_digest(tmp_path):
     ms = replace(ms, values=values, location_ids=np.array([7, -3, 0, 2**62, 5, 11]))
     ds.save_measurements(ms, tmp_path / "m.csv", tmp_path / "m.coords.csv")
     assert sha256(tmp_path / "m.csv") == (
-        "a3ab15543fa91051ee25871aa825b07afc07a69f0942989128713b64d8143d90"
+        "274dc06815189b39236f62407bd7957eef6135c3c86a20429cff591e31c71526"
     )
     assert sha256(tmp_path / "m.coords.csv") == (
         "ce4da502a37238a1592db6b777a3808461dd6beaf46f46d9067d4cff94d6b69f"
@@ -53,7 +63,7 @@ def test_kmc_model_digest(tmp_path):
     model = bm.train_kmc(ms, train_ids, pairs, kappa=6, seed=33)
     modelio.save_model(model, tmp_path / "kmc.model")
     assert sha256(tmp_path / "kmc.model") == (
-        "d846895437cfc3e6c216547d3a3d8bb7e8544ce11f26eacd442e4c7e8ac90ca2"
+        "c36b6f4eff9cf705cee1910a7fd9b78aba09e3739f72b413e00a80f883727a55"
     )
 
 
@@ -67,10 +77,10 @@ def test_baselines_sweep_report_digest(tmp_path):
     )
     ev.emit_report(ev.sweep_locations(cfg), tmp_path / "r.csv", tmp_path / "r.raw.csv")
     assert sha256(tmp_path / "r.csv") == (
-        "502b6e99b6ec2549a64ecc42e80759b70e68c395d02dde7c9f0a7f16405c4b96"
+        "6258b5121e81c2ce07bd4fbc7f5597a29339e41c68e824dee73b04f81f1a1511"
     )
     assert sha256(tmp_path / "r.raw.csv") == (
-        "cda8f2560a5ab0b77bb72322fc29db906d6d440f4d94aabb6ce9155433ba4fdb"
+        "fc8d0de888455e8f0e5f269eaeb751ee7ebae1ff375e1352d329b025f0800a30"
     )
 
 
@@ -91,3 +101,73 @@ def test_measurement_file_sweep_report_digest(tmp_path):
     assert sha256(tmp_path / "r.raw.csv") == (
         "ce790f8b057df9af143635bd0a6d44e128ab15e3e760e565e74af3c2e39a9717"
     )
+
+
+# The DNNC pins hold for this OpenBLAS build, forced to this core at one
+# thread (numpy 2.4.6's bundled scipy-openblas).
+PIN_OPENBLAS = "0.3.31.188.0"
+PIN_CORE = "Haswell"
+DNNC_DIGESTS = {
+    "meas.csv": "d2a9b9853e0087cf9efbb517de5ffa18ecdecb14accd0036baa051f105d26be5",
+    "dnnc.model": "aa6b89a7f0e478c2adcb808508ddf6eb0f0b2d08d0a61f4195a9b6ad767f7822",
+    "history.csv": "5630c917c6e64980f7fb2498af373e3ea14a9c344e4266a721e7791416703a79",
+    "decide.txt": "63bd0fdcbe528800ee895791628f796224739f9cfc1e19f0f6227ddaa8d632f6",
+    "decide_swapped.txt": "63bd0fdcbe528800ee895791628f796224739f9cfc1e19f0f6227ddaa8d632f6",
+    "sweep.csv": "af007c46a37d4d31b484e4eaf84032f4952f509cf4aacc1fa7fae71f3497b60d",
+    "sweep.csv.raw.csv": "c9d689795feac730e4a5b09a73739d4fb81a0bb6f1b51bc4e44f0a829e14b905",
+}
+
+# generate, a DNNC fit with its history, one decision in both argument
+# orders and a DNNC sweep from the file, in one interpreter; it first
+# prints the core OpenBLAS runs on
+DNNC_PIPELINE = """
+import contextlib, ctypes, glob, os
+import numpy as np
+from rssdetect.cli import main
+
+lib, = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas*"))
+corename = ctypes.CDLL(lib).scipy_openblas_get_corename64_
+corename.restype = ctypes.c_char_p
+print(corename().decode())
+
+def run(argv, out=os.devnull):
+    with open(out, "w") as f, contextlib.redirect_stdout(f):
+        assert main(argv) == 0, argv
+
+with open("dnnc.cfg", "w") as f:
+    f.write("estimates = 4\\nsamples = 8\\nk_train = 200\\nk_val = 100\\nk_test = 100\\n"
+            "hidden_sizes = 32,32\\nmax_epochs = 12\\n")
+run(["generate", "--out", "meas.csv", "--seed", "1", "--config", "dnnc.cfg", "--locations", "12"])
+run(["train", "--data", "meas.csv", "--algorithm", "dnnc", "--model-out", "dnnc.model",
+     "--history-out", "history.csv", "--seed", "2", "--config", "dnnc.cfg"])
+rows = open("meas.csv").read().splitlines()
+f, f_prime = rows[1].split(",", 2)[2], rows[2].split(",", 2)[2]
+run(["decide", "--model", "dnnc.model", f"--f={f}", f"--f-prime={f_prime}"], "decide.txt")
+run(["decide", "--model", "dnnc.model", f"--f={f_prime}", f"--f-prime={f}"], "decide_swapped.txt")
+run(["sweep-locations", "--data", "meas.csv", "--out", "sweep.csv", "--seed", "3",
+     "--config", "dnnc.cfg", "--grid", "8", "--iterations", "2", "--algorithms", "dnnc"])
+"""
+
+
+@pytest.mark.skipif(
+    platform.machine() not in ("x86_64", "AMD64"), reason="the pinned OpenBLAS core is an x86-64 one"
+)
+def test_dnnc_pipeline_digests(tmp_path):
+    version = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["version"]
+    env = dict(
+        os.environ,
+        OPENBLAS_CORETYPE=PIN_CORE,
+        OPENBLAS_NUM_THREADS="1",
+        PYTHONPATH=str(Path(rssdetect.__file__).parents[1]),
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", DNNC_PIPELINE], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    core = run.stdout.strip()
+    if (version, core) != (PIN_OPENBLAS, PIN_CORE):
+        pytest.fail(
+            f"re-pin: the DNNC digests were taken on OpenBLAS {PIN_OPENBLAS}, core {PIN_CORE}; "
+            f"this run has OpenBLAS {version}, core {core}"
+        )
+    assert {name: sha256(tmp_path / name) for name in DNNC_DIGESTS} == DNNC_DIGESTS

@@ -120,15 +120,21 @@ class TestTrueRss:
                 want = 10 * math.log10(10 ** (p_rx / 10) + 10 ** (cfg.noise_dbm / 10))
                 assert got[rx] == pytest.approx(want, abs=1e-9)
 
+    @staticmethod
+    def _norm(d) -> float:
+        dx, dy, dz = d.tolist()
+        return math.sqrt(dx * dx + dy * dy + dz * dz)
+
     def test_signal_power_bit_equals_per_pair_norm(self):
-        # the batched distances must be np.linalg.norm of each difference, bit for bit
+        # the batched distances must be each difference's norm, summed left
+        # to right in float64, bit for bit; a BLAS dot would follow the CPU
         cfg = sm.ScenarioConfig(path_loss_exponent=3.1)
         sc = sm.generate_scenario(cfg, seed=3)
         want = np.array([
             [
                 cfg.tx_power_dbm
                 - sm.REFERENCE_LOSS_DB
-                - 10.0 * cfg.path_loss_exponent * math.log10(float(np.linalg.norm(loc - rx)))
+                - 10.0 * cfg.path_loss_exponent * math.log10(self._norm(loc - rx))
                 + float(shadow)
                 for rx, shadow in zip(sc.receivers, shadowing)
             ]
@@ -156,9 +162,7 @@ class TestSampleWindow:
             w = sm.draw_sample_window(sc, 2, rx, n_samples, seed=seed, extra_gain_db=0.7)
             rng = np.random.default_rng(seed)
             amplitude = math.sqrt(sm.db_to_linear(sm.received_power_dbm(sc, 2, rx) + 0.7))
-            phase = rng.uniform(0.0, 2.0 * math.pi)
-            k = np.arange(n_samples)
-            want = amplitude * np.exp(1j * (2.0 * math.pi * sm.TONE_CYCLES_PER_SAMPLE * k + phase))
+            want = np.full(n_samples, amplitude, dtype=np.complex128)
             noise = 0.0
             if noise_dbm > -math.inf:
                 scale = math.sqrt(sm.db_to_linear(noise_dbm) / 2.0)
@@ -249,7 +253,7 @@ class TestEstimateRssVector:
         ss = np.random.SeedSequence(77)
         vec = sm.estimate_rss_vector(sc, 0, 32, seed=ss)
         # replay the same stream through the scalar path: the one drift
-        # group's normal comes first, then the window's phase and normals
+        # group's normal comes first, then the window's normals
         rng = np.random.default_rng(np.random.SeedSequence(77))
         rng.standard_normal()
         w = sm.draw_sample_window(sc, 0, 0, 32, seed=rng)
@@ -297,11 +301,34 @@ class TestEstimateRssVector:
         offsets = np.array(
             [sm.estimate_rss_vector(sc, 0, 64, seed=r) - truth for r in range(40)]
         )
-        # noiseless tone: the estimate equals P_rx + drift of the group
+        # noiseless carrier: the estimate equals P_rx + drift of the group
         shared = np.abs(offsets[:, 0] - offsets[:, 1]).max()
         across = np.std(offsets[:, 0] - offsets[:, 2])
         assert shared < 1e-9
         assert across > 1.0
+
+    @pytest.mark.parametrize("n_samples", [1, 16])
+    @pytest.mark.parametrize("snr_db", [-10.0, 0.0, 10.0, 30.0])
+    def test_tone_free_windows_keep_the_estimate_distribution(self, snr_db, n_samples):
+        # P_rx = -90 dBm at location 0; independent draws from both models
+        sc = make_plain_scenario(tx_dbm=-50.0, noise_dbm=-90.0 - snr_db)
+        n = 3000
+        rng = np.random.default_rng(int(snr_db) + 1000 * n_samples)
+        old = np.array([reference_tone_rss(-90.0, -90.0 - snr_db, n_samples, rng) for _ in range(n)])
+        new = np.array([sm.estimate_rss_vector(sc, 0, n_samples, seed=s)[0] for s in range(n)])
+
+        def mean_std_and_errors(x):
+            # the std's standard error by the delta method on the sample
+            # variance, which holds for the skewed dB estimate at low N_s
+            centred = x - x.mean()
+            var = centred.var()
+            var_se = math.sqrt(np.var(centred**2) / x.size)
+            return x.mean(), math.sqrt(var), math.sqrt(var / x.size), var_se / (2.0 * math.sqrt(var))
+
+        m_old, s_old, m_old_se, s_old_se = mean_std_and_errors(old)
+        m_new, s_new, m_new_se, s_new_se = mean_std_and_errors(new)
+        assert abs(m_old - m_new) < 4.0 * math.hypot(m_old_se, m_new_se)
+        assert abs(s_old - s_new) < 4.0 * math.hypot(s_old_se, s_new_se)
 
 
 class TestSimulateMeasurementSet:
@@ -315,26 +342,34 @@ class TestSimulateMeasurementSet:
         assert np.array_equal(a.coordinates, sc.locations)
 
 
+def reference_tone_rss(p_rx_dbm, noise_dbm, n_samples, rng) -> float:
+    """One window's RSS estimate as synthesized before tone-free windows:
+    a unit-power complex tone at 0.25 cycles per sample with a uniform
+    initial phase, scaled to P_rx, plus circular noise.  Draws the phase,
+    then N_s real and N_s imaginary noise normals."""
+    phase = rng.uniform(0.0, 2.0 * math.pi)
+    k = np.arange(n_samples)
+    tone = math.sqrt(sm.db_to_linear(p_rx_dbm)) * np.exp(1j * (2.0 * math.pi * 0.25 * k + phase))
+    scale = math.sqrt(sm.db_to_linear(noise_dbm) / 2.0)
+    noise = scale * (rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples))
+    return sm.estimate_rss(sm.SampleWindow(0, 0, tone + noise))
+
+
 def replay_location(sc, n, n_estimates, n_samples, rng) -> np.ndarray:
     """Location n's (E, M) estimates rebuilt one window at a time from its
     generator, in the documented draw order: the (E, G) drift normals,
-    the (E, M) phase uniforms, then each window's 2*N_s noise normals."""
+    then each window's 2*N_s noise normals."""
     cfg = sc.config
     drift = rng.standard_normal((n_estimates, int(sc.receiver_group.max()) + 1))
-    uniforms = rng.random((n_estimates, sc.n_channels))
-    k = np.arange(n_samples)
     values = np.empty((n_estimates, sc.n_channels))
     for j in range(n_estimates):
         for rx in range(sc.n_channels):
             normals = rng.standard_normal(2 * n_samples)
             p_rx = sm.received_power_dbm(sc, n, rx) + cfg.gain_drift_std_db * drift[j, sc.receiver_group[rx]]
-            phase = 2.0 * math.pi * uniforms[j, rx]
-            tone = math.sqrt(sm.db_to_linear(p_rx)) * np.exp(
-                1j * (2.0 * math.pi * sm.TONE_CYCLES_PER_SAMPLE * k + phase)
-            )
+            carrier = np.full(n_samples, math.sqrt(sm.db_to_linear(p_rx)), dtype=np.complex128)
             scale = math.sqrt(sm.db_to_linear(cfg.noise_dbm) / 2.0)
             noise = scale * (normals[:n_samples] + 1j * normals[n_samples:])
-            values[j, rx] = sm.estimate_rss(sm.SampleWindow(n, rx, tone + noise))
+            values[j, rx] = sm.estimate_rss(sm.SampleWindow(n, rx, carrier + noise))
     return values
 
 
@@ -369,13 +404,13 @@ class TestCampaignBits:
             assert vec.tobytes() == one[0].tobytes()
 
     def test_pinned_campaign_digest(self):
-        # SHA-256 of the values at one random stream per location (numpy
-        # 2.4, x86-64); any change to the streams, their draw order or the
-        # window arithmetic changes it
+        # SHA-256 of the values at one random stream per location with
+        # tone-free windows (numpy 2.4, x86-64); any change to the streams,
+        # their draw order or the window arithmetic changes it
         sc = sm.generate_scenario(sm.ScenarioConfig(n_locations=5, gain_drift_std_db=2.0), seed=11)
         ms = sm.simulate_measurement_set(sc, n_estimates=3, n_samples=8, seed=12)
         assert hashlib.sha256(ms.values.tobytes()).hexdigest() == (
-            "40db46766ab41171afede5e4a72b4ce89043eb1bab78e6dcec3d036f2967d962"
+            "ba9aa292ae0a9028bde3d93eb8ad68da4da4e6a5ea190e826d9fc984ae827d2c"
         )
 
     def test_default_layout_as_receiver_positions_keeps_campaign_bytes(self):
@@ -400,12 +435,12 @@ class TestCampaignBits:
 
     def test_pinned_benchmark_shape_digest(self):
         # SHA-256 of the default 52 x 8 x 16 campaign at one random stream
-        # per location (numpy 2.4, x86-64)
+        # per location with tone-free windows (numpy 2.4, x86-64)
         sc = sm.generate_scenario(sm.ScenarioConfig(), seed=0)
         ms = sm.simulate_measurement_set(sc, n_estimates=8, n_samples=16, seed=1)
         assert ms.values.shape == (52, 8, 16)
         assert hashlib.sha256(ms.values.tobytes()).hexdigest() == (
-            "6d5acd38b9a4ae342ddc87442129e2735124868713a3d71d497bf7eb018621d1"
+            "438d6be2b31e847b6319039a7a6d29721bce74f1a07ab5f0e510c68ac566e7d3"
         )
 
     @pytest.mark.parametrize(
