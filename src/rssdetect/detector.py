@@ -31,10 +31,14 @@ GEMMs have the shape and strides of the pair scored alone, so the
 statistic is exactly commutative and bit-equal however the pair is
 batched.  (One GEMM over 1024 rows is about twice as
 fast on a large batch but, in float32, changes most pairs' last bits.)
-A lone (M,) pair takes the same steps on one (2, M) array and one
-(1, 2, 3M) row stack, ordered by one scalar compare, so its statistic
-costs its GEMMs plus a few small array operations.  Every buffer is
-allocated per call, so concurrent decisions share only the model.
+A lone (M,) pair takes the same steps in scratch arrays that each thread
+keeps per network shape and dtype: one (2, M) float64 array, filled,
+standardized and ordered in place (by comparing its two rows as Python
+lists), its two (2, 3M) network input rows, and per layer one 2-D GEMM
+of the shape the pair's GEMM has in a batch, into a buffer of its own.
+Its statistic therefore costs its GEMMs plus about 30 small numpy calls.
+A batch allocates its arrays per call.  Threads share only the model;
+no thread reads another's scratch.
 ``BLOCK_PAIRS`` only bounds memory: a pass takes at most that many pairs,
 about 2 * 2 * BLOCK_PAIRS * width floats of activations (4 MB at 512
 pairs and width 512 in float32).  Training keeps its own [forward-order;
@@ -46,6 +50,7 @@ from __future__ import annotations
 
 import enum
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -208,16 +213,24 @@ def statistic_batch(model: DetectorModel, f: np.ndarray, f_prime: np.ndarray):
 
     Each canonically ordered pair is its own 2-row pass over both
     argument orders, in the parameters' dtype, and the two outputs are
-    averaged in float64 (see the module docstring).  Raises
-    ``ValueError`` on any input :func:`checked_pair` refuses, with M the
-    model's feature count, on a standardized input that does not fit in
-    the parameters' dtype, and on a non-finite statistic (for example
-    from overflowed weights); none of these emits a numpy warning.
+    averaged in float64 (see the module docstring).  A lone (M,) pair of
+    a real dtype takes the same steps in this thread's scratch
+    (:func:`_statistic_one`); any other input goes through
+    :func:`checked_pair` first.  Raises ``ValueError`` on any input
+    :func:`checked_pair` refuses, with M the model's feature count, on a
+    standardized input that does not fit in the parameters' dtype, and on
+    a non-finite statistic (for example from overflowed weights); none of
+    these emits a numpy warning.
     """
+    f, f_prime = np.asarray(f), np.asarray(f_prime)
+    if (
+        f.shape == f_prime.shape == model.feature_mean.shape
+        and f.dtype.kind in "biuf"
+        and f_prime.dtype.kind in "biuf"
+    ):
+        return _statistic_one(model, f, f_prime)
     f, f_prime = checked_pair(f, f_prime, model.n_features)
     dtype = model.params.weights[0].dtype
-    if f.ndim == 1:
-        return _statistic_one(model, f, f_prime, dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         # + 0.0 turns -0.0 into +0.0, so vectors that compare equal are equal bytes
         z = _standardize(model, np.stack([f, f_prime], axis=-2).reshape(-1, 2, f.shape[-1])) + 0.0
@@ -240,22 +253,113 @@ def statistic_batch(model: DetectorModel, f: np.ndarray, f_prime: np.ndarray):
     return g
 
 
-def _statistic_one(model: DetectorModel, f: np.ndarray, f_prime: np.ndarray, dtype) -> float:
-    """:func:`statistic_batch` of one checked (M,) pair, built in one (1, 2, 3M) array."""
-    m = f.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = np.concatenate((f, f_prime)).reshape(2, m) - model.feature_mean
-        z /= model.feature_std
-        z += 0.0
-        i = (z[0] != z[1]).argmax()
-        z = z[::-1] if z[0, i] > z[1, i] else z
-        rows = np.empty((1, 2, 3 * m))
-        rows[0, :, :m], rows[0, :, m : 2 * m] = z, z[::-1]
-        np.subtract(z, z[::-1], out=rows[0, :, 2 * m :])
-        if not np.abs(rows).max() <= np.finfo(dtype).max:
-            raise ValueError(f"standardized feature vectors do not fit in {dtype}")
-        out = neural.forward(model.params, rows.astype(dtype), model.negative_slope)
-    g = (float(out[0, 0]) + float(out[0, 1])) / 2.0
+class _LoneScratch(threading.local):
+    """Each thread's lone-pair buffers, one :class:`_LoneBuffers` per network shape and dtype.
+
+    About 27 kB per shape at the default width; a thread's entries go with it.
+    """
+
+    def __init__(self):
+        self.by_shape = {}
+
+
+_LONE_SCRATCH = _LoneScratch()
+
+
+class _LoneBuffers:
+    """Scratch of one lone pair through one network shape, with fixed views into it.
+
+    ``rows`` is the (2, 3M) float64 input, row r the three M-blocks
+    ``head[r]``, ``tail[r]`` and ``diff[r]``.  ``pair`` (the two heads of
+    row 0) holds the standardized (f, f') and then (lo, hi); ``mirror``
+    (the heads of row 1) holds (hi, lo).  ``x`` is ``rows`` in the
+    parameters' dtype (``rows`` itself for float64); each hidden layer
+    has a pre-activation and an activation buffer, and the output layer
+    one (2, 1) buffer.
+    """
+
+    def __init__(self, params: MlpParams):
+        dtype = params.weights[0].dtype
+        m = params.weights[0].shape[1] // 3
+        blocks = np.empty((2, 3, m))
+        self.rows = blocks.reshape(2, 3 * m)
+        self.head, self.tail, self.diff = blocks[:, 0], blocks[:, 1], blocks[:, 2]
+        self.pair, self.mirror = blocks[0, :2], blocks[1, :2]
+        self.pair_swapped, self.mirror_swapped = self.pair[::-1], self.mirror[::-1]
+        self.magnitude = np.empty_like(self.rows)
+        self.limit = float(np.finfo(dtype).max)
+        self.x = self.rows if dtype == np.float64 else np.empty(self.rows.shape, dtype)
+        self.hidden = [(np.empty((2, w.shape[0]), dtype), np.empty((2, w.shape[0]), dtype))
+                       for w in params.weights[:-1]]
+        self.out = np.empty((2, 1), dtype)
+        self.outputs = self.out.reshape(2)
+
+
+def _lone_buffers(params: MlpParams) -> _LoneBuffers:
+    # the dtype, the input width 3M and every layer's width
+    key = (params.weights[0].dtype, params.weights[0].shape[1], *map(len, params.biases))
+    buffers = _LONE_SCRATCH.by_shape.get(key)
+    if buffers is None:
+        buffers = _LONE_SCRATCH.by_shape[key] = _LoneBuffers(params)
+    return buffers
+
+
+def _lone_input(model: DetectorModel, f, f_prime, buffers: _LoneBuffers) -> np.ndarray:
+    """The network input rows of one (M,) pair of a real dtype, in ``buffers.x``.
+
+    Refuses what :func:`statistic_batch` refuses, with its messages.  Runs
+    inside the ``np.errstate`` of :func:`_statistic_one`.
+    """
+    pair = buffers.pair
+    pair[0] = f
+    pair[1] = f_prime
+    pair -= model.feature_mean
+    pair /= model.feature_std
+    # + 0.0 turns -0.0 into +0.0, so vectors that compare equal are equal bytes
+    pair += 0.0
+    # Python orders lists lexicographically: the first unequal entries
+    # decide, and equal vectors keep their order
+    first, second = pair.tolist()
+    if first > second:
+        np.copyto(buffers.mirror, pair)
+        np.copyto(pair, buffers.mirror_swapped)
+    else:
+        np.copyto(buffers.mirror, buffers.pair_swapped)
+    np.subtract(buffers.head, buffers.tail, out=buffers.diff)
+    # a non-finite input entry stays non-finite in the rows, so this one
+    # bound refuses it too; the inputs are looked at again only for the message
+    if not np.maximum.reduce(np.abs(buffers.rows, out=buffers.magnitude), axis=None) <= buffers.limit:
+        if not (np.isfinite(f).all() and np.isfinite(f_prime).all()):
+            raise ValueError("feature vectors must be finite")
+        raise ValueError(f"standardized feature vectors do not fit in {buffers.x.dtype}")
+    if buffers.x is not buffers.rows:
+        np.copyto(buffers.x, buffers.rows, casting="unsafe")
+    return buffers.x
+
+
+def _lone_network(params: MlpParams, slope: float, x: np.ndarray, buffers: _LoneBuffers) -> np.ndarray:
+    """The network's two outputs on the lone input rows ``x``, a (2,) view into ``buffers``.
+
+    Each layer is one 2-D GEMM into its own buffer, then the bias add and
+    the leaky ReLU in place: the bits of :func:`neural.forward` on the
+    (1, 2, 3M) stack, whose one GEMM per layer has this shape.
+    """
+    a = x
+    # zip stops at the last hidden layer
+    for w, b, (z, act) in zip(params.weights, params.biases, buffers.hidden):
+        a = neural._leaky_relu(neural._affine(a, w, b, z), slope, act)
+    neural._affine(a, params.weights[-1], params.biases[-1], buffers.out)
+    return buffers.outputs
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _statistic_one(model: DetectorModel, f, f_prime) -> float:
+    """:func:`statistic_batch` of one (M,) pair of a real dtype, in this thread's scratch."""
+    params = model.params
+    buffers = _lone_buffers(params)
+    x = _lone_input(model, f, f_prime, buffers)
+    first, second = _lone_network(params, model.negative_slope, x, buffers).tolist()
+    g = (first + second) / 2.0
     if not math.isfinite(g):
         raise ValueError("detector statistic is not finite")
     return g

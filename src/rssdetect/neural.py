@@ -22,13 +22,16 @@ the l1 penalty's sign of the narrow first-layer weights).
 :func:`forward_cached` without a workspace runs the same code on a fresh
 one.  A forward pass alone (:func:`forward`) needs no cache and runs its
 own loop on two fresh flat arrays, each layer writing a contiguous prefix
-of them.  A workspace would cost more than the pass: it holds a gradient
-of every parameter, so building one for a 2-row pass through the default
-48-512-512-512-1 float32 network took about 230 us, more than twice the
-95 us of the whole pass (2-core Xeon VM, numpy 2.4 with OpenBLAS).  It also
-takes a stack of batches, (..., B, fan_in): ``np.matmul`` then makes one
-GEMM call per batch, with the shape and strides of that batch passed
-alone, so a batch's outputs do not depend on the stack around it.
+of them.  A workspace would cost more than a small pass: it holds a
+gradient of every parameter, so building one for a 2-row pass through
+the default 48-512-512-512-1 float32 network took about 230 us, more
+than twice the 95 us of the whole pass (2-core Xeon VM, numpy 2.4 with
+OpenBLAS).  :func:`forward` also takes a stack of batches, (..., B,
+fan_in): ``np.matmul`` then makes one GEMM call per batch, with the shape
+and strides of that batch passed alone, so a batch's outputs do not
+depend on the stack around it.  A lone pair's 2-row pass does not come
+here: ``detector`` runs it on scratch buffers each thread keeps, through
+the same :func:`_affine` and :func:`_leaky_relu` kernels.
 
 Bit-exactness: the in-place kernels give the same bits as the plain
 expressions ``a @ w.T + b``, ``np.where(z > 0, z, s * z)`` and

@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -153,6 +154,33 @@ def reference_blocks(model: det.DetectorModel, f, f_prime) -> list:
     return [stack[i : i + det.BLOCK_PAIRS] for i in range(0, len(stack), det.BLOCK_PAIRS)]
 
 
+def reference_inputs(model: det.DetectorModel, f, f_prime) -> list:
+    """:func:`reference_blocks`, with a lone (M,) pair's one block as its (2, 3M) rows."""
+    blocks = reference_blocks(model, f, f_prime)
+    return [blocks[0][0]] if np.ndim(f) == 1 else blocks
+
+
+@pytest.fixture
+def network_inputs(monkeypatch):
+    """Every network input, in call order: each stack ``neural.forward`` gets
+    and each lone pair's (2, 3M) rows from ``detector._lone_input``."""
+    seen = []
+    forward, lone_input = neural.forward, det._lone_input
+
+    def forward_spy(params, x, slope):
+        seen.append(x.copy())
+        return forward(params, x, slope)
+
+    def lone_spy(model, f, f_prime, buffers):
+        x = lone_input(model, f, f_prime, buffers)
+        seen.append(x.copy())
+        return x
+
+    monkeypatch.setattr(neural, "forward", forward_spy)
+    monkeypatch.setattr(det, "_lone_input", lone_spy)
+    return seen
+
+
 class TestStackedEvaluation:
     """One 2-row pass per canonically ordered pair, stacked, in blocks."""
 
@@ -198,20 +226,7 @@ class TestStackedEvaluation:
             g = det.statistic_batch(model, f, fp)
             assert np.float64(g).tobytes() == np.float64(det.statistic_batch(model, fp, f)).tobytes()
 
-    @pytest.fixture
-    def forward_inputs(self, monkeypatch):
-        """Every input ``neural.forward`` gets, in call order."""
-        seen = []
-        forward = neural.forward
-
-        def spy(params, x, slope):
-            seen.append(x.copy())
-            return forward(params, x, slope)
-
-        monkeypatch.setattr(neural, "forward", spy)
-        return seen
-
-    def test_both_orders_stack_the_same_bytes(self, forward_inputs):
+    def test_both_orders_stack_the_same_bytes(self, network_inputs):
         rng = np.random.default_rng(7)
         f, fp = rng.normal(size=(5, 6)), rng.normal(size=(5, 6))
         # equal values whose zeros differ in sign count as one vector
@@ -220,19 +235,20 @@ class TestStackedEvaluation:
         for model in (PLAIN_MODEL, PLAIN_MODEL32):
             det.statistic_batch(model, f, fp)
             det.statistic_batch(model, fp, f)
-        for first, second in (forward_inputs[:2], forward_inputs[2:]):
+        for first, second in (network_inputs[:2], network_inputs[2:]):
             assert first.tobytes() == second.tobytes()
         # the network input is cast to the parameters' dtype last
-        assert [x.dtype for x in forward_inputs] == [np.float64] * 2 + [np.float32] * 2
+        assert [x.dtype for x in network_inputs] == [np.float64] * 2 + [np.float32] * 2
 
-    def test_one_forward_per_block(self, forward_inputs):
-        # each forward takes a (pairs, 2, 3M) stack of at most B pairs
+    def test_one_forward_per_block(self, network_inputs):
+        # a lone pair is one (2, 3M) input; each forward takes a (pairs, 2, 3M)
+        # stack of at most B pairs
         det.statistic_batch(STACK_MODEL, np.zeros(6), np.ones(6))
         det.statistic_batch(STACK_MODEL, np.zeros((2 * B + 3, 6)), np.ones((2 * B + 3, 6)))
-        assert [x.shape for x in forward_inputs] == [(1, 2, 18), (B, 2, 18), (B, 2, 18), (3, 2, 18)]
+        assert [x.shape for x in network_inputs] == [(2, 18), (B, 2, 18), (B, 2, 18), (3, 2, 18)]
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, B + 1])
-    def test_forward_inputs_match_the_two_array_reference(self, forward_inputs, n):
+    def test_forward_inputs_match_the_two_array_reference(self, network_inputs, n):
         rng = np.random.default_rng(200 + n)
         f, fp = rng.normal(size=(n, 6)), rng.normal(size=(n, 6))
         fp[::4] = f[::4]  # equal vectors
@@ -241,10 +257,10 @@ class TestStackedEvaluation:
         f[3::4, :2], fp[3::4, :2] = 0.0, -0.0  # equal but for the sign of zero
         for model in (PLAIN_MODEL, PLAIN_MODEL32, STACK_MODEL, STACK_MODEL32):
             for a, b in ((f, fp), (fp, f)) + (((f[0], fp[0]), (fp[0], f[0])) if n else ()):
-                forward_inputs.clear()
+                network_inputs.clear()
                 det.statistic_batch(model, a, b)
-                want = reference_blocks(model, a, b)
-                assert [(x.dtype, x.shape, x.tobytes()) for x in forward_inputs] == [
+                want = reference_inputs(model, a, b)
+                assert [(x.dtype, x.shape, x.tobytes()) for x in network_inputs] == [
                     (x.dtype, x.shape, x.tobytes()) for x in want
                 ]
 
@@ -272,6 +288,18 @@ LONE_MODELS = (STACK_MODEL, PLAIN_MODEL, STACK_MODEL32, PLAIN_MODEL32, _inf_bias
 edge_features = st.one_of(
     st.floats(-1e3, 1e3),
     st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e300, -1e300, 3e38, -3e38]),
+)
+# every input dtype a pair may come in; the lone path fills its float64
+# scratch from each of them, where the batch path casts with astype
+real_vectors = st.one_of(
+    hnp.arrays(np.bool_, 6),
+    hnp.arrays(np.int8, 6),
+    hnp.arrays(np.int64, 6),
+    hnp.arrays(np.uint64, 6, elements=st.integers(2**53, 2**64 - 1)),
+    hnp.arrays(np.float16, 6),
+    hnp.arrays(np.float32, 6),
+    hnp.arrays(np.dtype(">f8"), 6),
+    st.lists(st.one_of(st.floats(), st.integers()), min_size=6, max_size=6),
 )
 
 
@@ -303,10 +331,18 @@ class TestLonePair:
                 batch = _outcome(lambda: det.statistic_batch(model, a[None], b[None])[0])
                 assert lone == batch
 
-    def test_network_input_of_every_tie_pattern_is_the_reference(self, monkeypatch):
-        seen = []
-        forward = neural.forward
-        monkeypatch.setattr(neural, "forward", lambda p, x, s: (seen.append(x.copy()), forward(p, x, s))[1])
+    @pytest.mark.filterwarnings("error")
+    @given(f=real_vectors, fp=real_vectors)
+    def test_every_input_dtype_has_the_one_row_batch_outcome(self, f, fp):
+        for model in LONE_MODELS:
+            for a, b in ((f, fp), (fp, f)):
+                lone = _outcome(lambda: det.statistic_batch(model, a, b))
+                batch = _outcome(
+                    lambda: det.statistic_batch(model, np.asarray(a)[None], np.asarray(b)[None])[0]
+                )
+                assert lone == batch
+
+    def test_network_input_of_every_tie_pattern_is_the_reference(self, network_inputs):
         rng = np.random.default_rng(300)
         f, fp = rng.normal(size=(4, 6)), rng.normal(size=(4, 6))
         fp[0] = f[0]  # equal vectors
@@ -315,10 +351,10 @@ class TestLonePair:
         f[3, :2], fp[3, :2] = 0.0, -0.0  # equal but for the sign of zero
         for model in (PLAIN_MODEL, PLAIN_MODEL32, STACK_MODEL, STACK_MODEL32):
             for a, b in [p for i in range(4) for p in ((f[i], fp[i]), (fp[i], f[i]))]:
-                seen.clear()
+                network_inputs.clear()
                 det.statistic_batch(model, a, b)
-                assert [(x.dtype, x.shape, x.tobytes()) for x in seen] == [
-                    (x.dtype, x.shape, x.tobytes()) for x in reference_blocks(model, a, b)
+                assert [(x.dtype, x.shape, x.tobytes()) for x in network_inputs] == [
+                    (x.dtype, x.shape, x.tobytes()) for x in reference_inputs(model, a, b)
                 ]
 
     def test_threads_sharing_a_model_match_a_serial_run(self):
@@ -344,6 +380,44 @@ class TestLonePair:
             threaded = list(pool.map(lambda t: run(t, wait=True), range(4)))
         assert threaded == serial
 
+
+    def test_threads_on_models_of_two_shapes_match_the_batch_path(self):
+        # every thread keeps its own scratch per network shape and dtype: four
+        # threads interleave lone decisions on a wide float32 model and on
+        # narrow ones that share its dtype, their shape or their input width,
+        # switching threads often; the batch path, which uses no scratch,
+        # gives the bits every decision must have
+        narrow = make_model(m=6, hidden=(8, 8), seed=37)
+        models = (
+            as_float32(make_model(m=16, hidden=(256, 256, 256), seed=36)),
+            narrow,
+            as_float32(narrow),
+            make_model(m=6, hidden=(8, 8, 4), seed=38),
+        )
+        rng = np.random.default_rng(39)
+        pairs = [(rng.normal(size=(40, m)), rng.normal(size=(40, m))) for m in (16, 6, 6, 6)]
+        want = [det.statistic_batch(model, f, fp) for model, (f, fp) in zip(models, pairs)]
+        barrier = threading.Barrier(4, timeout=60)
+
+        def run(t):
+            barrier.wait()
+            got = []
+            for i in range(40):
+                j = (i + 10 * t) % 40
+                for model, (f, fp) in zip(models, pairs):
+                    got.append(det.decide(model, f[j], fp[j]).statistic)
+            return np.array(got)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(run, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for t, got in enumerate(threaded):
+            order = (np.arange(40) + 10 * t) % 40
+            assert got.tobytes() == np.stack([g[order] for g in want], axis=1).tobytes()
 
 class TestSigmoid:
     @given(
