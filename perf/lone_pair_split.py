@@ -9,8 +9,8 @@ pairs per step, each step in a new order every round:
 
     gemms       the network's bare GEMMs, one ``np.matmul`` per layer into
                 the lone-pair scratch, on the input rows of each pair
-    network     ``detector._lone_network``: those GEMMs plus the bias adds
-                and the leaky ReLUs
+    network     ``neural._layers`` on the lone-pair scratch: those GEMMs
+                plus the bias adds and the leaky ReLUs
     decide_any  the whole ``modelio.decide_any`` call
 
 It prints the median µs per call of each step over the rounds, and their
@@ -37,7 +37,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
-from rssdetect import detector, modelio  # noqa: E402
+from rssdetect import detector, modelio, neural  # noqa: E402
 
 
 def set_up(seed: int):
@@ -53,14 +53,12 @@ def set_up(seed: int):
 def steps(model, pairs):
     """Each step as a function of one pair's index."""
     params, slope = model.params, model.negative_slope
-    buffers = detector._lone_buffers(params)
-    inputs = []
+    scratch = detector._lone_scratch(params)
     with np.errstate(over="ignore", invalid="ignore"):
-        for f, f_prime in pairs:
-            inputs.append(detector._lone_input(model, f, f_prime, buffers).copy())
+        inputs = [detector._network_input(model, f, fp, (), scratch).copy() for f, fp in pairs]
     # the bare GEMMs read each hidden layer's activations as the last
     # network pass left them
-    layers = [(w.T, z, act) for w, (z, act) in zip(params.weights, buffers.hidden)]
+    layers = [(w.T, z, act) for w, z, act in zip(params.weights, scratch.pre, scratch.acts)]
     last = params.weights[-1].T
 
     def gemms(i):
@@ -68,10 +66,10 @@ def steps(model, pairs):
         for w, z, act in layers:
             np.matmul(a, w, out=z)
             a = act
-        np.matmul(a, last, out=buffers.out)
+        np.matmul(a, last, out=scratch.out)
 
     def network(i):
-        detector._lone_network(params, slope, inputs[i], buffers)
+        neural._layers(params, inputs[i], slope, scratch.pre, scratch.acts, scratch.out)
 
     def decide_any(i):
         modelio.decide_any(model, *pairs[i])

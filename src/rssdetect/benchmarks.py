@@ -47,7 +47,7 @@ class DbcModel:
         return dbc_statistic_batch(self, f, f_prime)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KmcModel:
     centroids: np.ndarray  # (kappa, M)
     threshold: float
@@ -73,7 +73,7 @@ class KmcModel:
         return kmc_statistic_batch(self, f, f_prime)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KMeansResult:
     centroids: np.ndarray  # (k, M)
     labels: np.ndarray  # (n,) assignment of each input row

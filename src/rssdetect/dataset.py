@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DataFormatError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementSet:
     """Dense corpus of RSS vector estimates, indexed (location, estimate).
 
@@ -73,7 +73,7 @@ class MeasurementSet:
         return int(idx[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairSet:
     """Balanced pair collection: exactly K SAME followed by K DIFF pairs.
 
@@ -110,7 +110,7 @@ class PairSet:
         return np.arange(2 * self.k_per_class) >= self.k_per_class
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocationSplit:
     """Disjoint train/validation/test location ids."""
 

@@ -18,32 +18,24 @@ runs the network in its parameters' dtype: float32 for a trained model,
 which keeps its fit's float32 snapshot, float64 for one built on
 :func:`neural.init_params`.  Standardization and ordering stay float64,
 and a standardized input that does not fit in the parameters' dtype
-raises ``ValueError``.  B pairs are one (B, 2, M) array, standardized
-once; each pair's two rows are then put in canonical order, the
-lexicographically smaller vector ``lo`` first (signed zeros are
-normalized, so equal vectors are equal bytes).  ``fixed_first_layer``
-of that array and of its row-swapped view gives each pair's rows
-``[lo, hi, lo - hi]`` and ``[hi, lo, hi - lo]`` as one (B, 2, 3M) stack,
-and :func:`neural.forward` runs it as one 2-row GEMM per layer and
-pair.  A GEMM's last bits may depend on a row's position and on the row
-count, but (f, f') and (f', f) stack the same bytes, and each pair's
-GEMMs have the shape and strides of the pair scored alone, so the
-statistic is exactly commutative and bit-equal however the pair is
-batched.  (One GEMM over 1024 rows is about twice as
+raises ``ValueError``.  Every input takes one path, a block of pairs at
+a time; a lone (M,) pair is a block of one.  The block's pairs are
+filled into one (pairs, 2, 3, M) float64 array, standardized, and put in
+canonical order in place, the lexicographically smaller vector ``lo``
+first (signed zeros are normalized, so equal vectors are equal bytes).
+The array then holds each pair's network input rows ``[lo, hi, lo - hi]``
+and ``[hi, lo, hi - lo]``, and :func:`neural._layers` runs them as one
+2-row GEMM per layer and pair.  A GEMM's last bits may depend on a row's
+position and on the row count, but (f, f') and (f', f) give the same
+bytes, and each pair's GEMMs have the shape and strides of the pair
+scored alone, so the statistic is exactly commutative and bit-equal
+however the pair is batched.  (One GEMM over 1024 rows is about twice as
 fast on a large batch but, in float32, changes most pairs' last bits.)
-A lone (M,) pair takes the same steps in scratch arrays that each thread
-keeps per network shape and dtype: one (2, M) float64 array, filled,
-standardized and ordered in place (by comparing its two rows as Python
-lists), its two (2, 3M) network input rows, and per layer one 2-D GEMM
-of the shape the pair's GEMM has in a batch, into a buffer of its own.
-Its statistic therefore costs its GEMMs plus about 30 small numpy calls.
-A batch allocates its arrays per call.  Threads share only the model;
-no thread reads another's scratch.
-``BLOCK_PAIRS`` only bounds memory: a pass takes at most that many pairs,
-about 2 * 2 * BLOCK_PAIRS * width floats of activations (4 MB at 512
-pairs and width 512 in float32).  Training keeps its own [forward-order;
-swapped-order] stack, so fits and their histories do not depend on this
-ordering.
+A lone pair works in arrays that each thread keeps per network shape and
+dtype; a batch allocates its blocks' arrays per call, a block being at
+most ``BLOCK_PAIRS`` pairs (4 MB of float32 activations at 512 pairs and
+width 512).  Threads share only the model.  Training keeps its own
+[forward-order; swapped-order] stack, so fits do not depend on this order.
 """
 
 from __future__ import annotations
@@ -88,7 +80,7 @@ class Decision:
         return sigmoid(self.statistic)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectorModel:
     """Trained detector: network weights plus frozen feature statistics.
 
@@ -177,10 +169,6 @@ def fixed_first_layer(f: np.ndarray, f_prime: np.ndarray) -> np.ndarray:
     return np.concatenate([f, f_prime, f - f_prime], axis=-1)
 
 
-def _standardize(model: DetectorModel, f: np.ndarray) -> np.ndarray:
-    return (f - model.feature_mean) / model.feature_std
-
-
 def checked_pair(f, f_prime, n_features=None) -> tuple[np.ndarray, np.ndarray]:
     """Both inputs as float64, after checking that they are one pair input.
 
@@ -188,8 +176,9 @@ def checked_pair(f, f_prime, n_features=None) -> tuple[np.ndarray, np.ndarray]:
     M = ``n_features`` when given), of a real dtype (bool, integer or
     float) and with finite entries; anything else raises ``ValueError``.
     A (0, M) batch passes, and every rule scores it to an empty array.
-    Every statistic of every decision rule calls this once, so no NaN,
-    inf, complex or mis-shaped input yields a statistic or a decision.
+    The DBC and KMC statistics call this once; the DNNC's calls it only to
+    word a refusal.  So no NaN, inf, complex or mis-shaped input yields a
+    statistic or a decision.
     """
     f, f_prime = np.asarray(f), np.asarray(f_prime)
     if f.shape != f_prime.shape:
@@ -208,56 +197,77 @@ def checked_pair(f, f_prime, n_features=None) -> tuple[np.ndarray, np.ndarray]:
     return f, f_prime
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def statistic_batch(model: DetectorModel, f: np.ndarray, f_prime: np.ndarray):
     """Symmetrized statistic for (B, M) batches of pairs, or a float for one pair.
 
     Each canonically ordered pair is its own 2-row pass over both
     argument orders, in the parameters' dtype, and the two outputs are
-    averaged in float64 (see the module docstring).  A lone (M,) pair of
-    a real dtype takes the same steps in this thread's scratch
-    (:func:`_statistic_one`); any other input goes through
-    :func:`checked_pair` first.  Raises ``ValueError`` on any input
-    :func:`checked_pair` refuses, with M the model's feature count, on a
-    standardized input that does not fit in the parameters' dtype, and on
-    a non-finite statistic (for example from overflowed weights); none of
-    these emits a numpy warning.
+    averaged in float64 (see the module docstring).  Raises
+    ``ValueError``, with :func:`checked_pair`'s message, on any input it
+    refuses with M the model's feature count; then on a standardized
+    input that does not fit in the parameters' dtype, and on a non-finite
+    statistic (for example from overflowed weights).  None of these emits
+    a numpy warning.
     """
     f, f_prime = np.asarray(f), np.asarray(f_prime)
-    if (
-        f.shape == f_prime.shape == model.feature_mean.shape
+    if not (
+        f.shape == f_prime.shape
+        and f.shape[-1:] == model.feature_mean.shape
+        and f.ndim <= 2
         and f.dtype.kind in "biuf"
         and f_prime.dtype.kind in "biuf"
     ):
-        return _statistic_one(model, f, f_prime)
-    f, f_prime = checked_pair(f, f_prime, model.n_features)
-    dtype = model.params.weights[0].dtype
-    with np.errstate(over="ignore", invalid="ignore"):
-        # + 0.0 turns -0.0 into +0.0, so vectors that compare equal are equal bytes
-        z = _standardize(model, np.stack([f, f_prime], axis=-2).reshape(-1, 2, f.shape[-1])) + 0.0
-        # equal rows keep their order: argmax of all-False is 0
-        first_diff = (z[:, 0] != z[:, 1]).argmax(axis=1)
-        pairs = np.arange(z.shape[0])
-        swap = z[pairs, 0, first_diff] > z[pairs, 1, first_diff]
-        z[swap] = z[swap, ::-1]
-        rows = fixed_first_layer(z, z[:, ::-1])
-        if not np.abs(rows).max(initial=0.0) <= np.finfo(dtype).max:
-            raise ValueError(f"standardized feature vectors do not fit in {dtype}")
-        rows = rows.astype(dtype)
-        g = np.empty(rows.shape[0])
-        for start in range(0, rows.shape[0], BLOCK_PAIRS):
-            block = rows[start : start + BLOCK_PAIRS]
-            out = neural.forward(model.params, block, model.negative_slope).astype(np.float64)
-            g[start : start + block.shape[0]] = (out[:, 0] + out[:, 1]) / 2.0
-    if not np.isfinite(g).all():
-        raise ValueError("detector statistic is not finite")
-    return g
+        checked_pair(f, f_prime, model.n_features)  # refuses every such input
+    if f.ndim == 1:
+        first, second = _outputs(model, f, f_prime, (), _lone_scratch(model.params)).tolist()
+        g = (first + second) / 2.0
+        if math.isfinite(g):
+            return g
+    else:
+        g = np.empty(f.shape[0])
+        for start in range(0, g.size, BLOCK_PAIRS):
+            block = slice(start, start + BLOCK_PAIRS)
+            if start == 0 or g[block].size < BLOCK_PAIRS:  # full blocks share one scratch
+                scratch = _Scratch(model.params, g[block].shape)
+            out = _outputs(model, f, f_prime, block, scratch)
+            g[block] = np.add(out[:, 0], out[:, 1], dtype=np.float64) / 2.0
+        if np.isfinite(g).all():
+            return g
+    raise ValueError("detector statistic is not finite")
+
+
+class _Scratch:
+    """The arrays of n pairs (``lead`` (n,)) or of a lone pair (``lead`` (), 2-D views).
+
+    ``rows``, the (*lead, 2, 3M) float64 input, holds row r's M-blocks
+    ``head[r]``, ``tail[r]``, ``diff[r]``; ``pair`` (row 0's first two)
+    holds (f, f') and then (lo, hi), ``mirror`` (row 1's) (hi, lo).
+    ``heads`` and ``pairs`` are both rows' and row 0's first two blocks,
+    per pair.  ``x`` is ``rows`` in the parameters' dtype.
+    """
+
+    def __init__(self, params: MlpParams, lead: tuple = ()):
+        dtype = params.weights[0].dtype
+        m = params.weights[0].shape[1] // 3
+        blocks = np.empty((*lead, 2, 3, m))
+        self.rows = blocks.reshape(*lead, 2, 3 * m)
+        self.head, self.tail, self.diff = blocks[..., 0, :], blocks[..., 1, :], blocks[..., 2, :]
+        self.first, self.second = blocks[..., 0, 0, :], blocks[..., 0, 1, :]
+        self.pair, self.mirror = blocks[..., 0, :2, :], blocks[..., 1, :2, :]
+        self.pair_swapped = self.pair[..., ::-1, :]
+        self.heads = blocks.reshape(-1, 2, 3, m)[:, :, :2]
+        self.pairs = self.heads[:, 0]
+        self.magnitude = np.empty_like(self.rows)
+        self.limit = float(np.finfo(dtype).max)
+        self.x = self.rows if dtype == np.float64 else np.empty(self.rows.shape, dtype)
+        self.pre, self.acts = neural._hidden_buffers(params, (*lead, 2))
+        self.out = np.empty((*lead, 2, 1), dtype)
+        self.outputs = self.out[..., 0]
 
 
 class _LoneScratch(threading.local):
-    """Each thread's lone-pair buffers, one :class:`_LoneBuffers` per network shape and dtype.
-
-    About 27 kB per shape at the default width; a thread's entries go with it.
-    """
+    """Each thread's lone-pair :class:`_Scratch` per network shape and dtype (10 kB at the default width)."""
 
     def __init__(self):
         self.by_shape = {}
@@ -266,103 +276,50 @@ class _LoneScratch(threading.local):
 _LONE_SCRATCH = _LoneScratch()
 
 
-class _LoneBuffers:
-    """Scratch of one lone pair through one network shape, with fixed views into it.
-
-    ``rows`` is the (2, 3M) float64 input, row r the three M-blocks
-    ``head[r]``, ``tail[r]`` and ``diff[r]``.  ``pair`` (the two heads of
-    row 0) holds the standardized (f, f') and then (lo, hi); ``mirror``
-    (the heads of row 1) holds (hi, lo).  ``x`` is ``rows`` in the
-    parameters' dtype (``rows`` itself for float64); each hidden layer
-    has a pre-activation and an activation buffer, and the output layer
-    one (2, 1) buffer.
-    """
-
-    def __init__(self, params: MlpParams):
-        dtype = params.weights[0].dtype
-        m = params.weights[0].shape[1] // 3
-        blocks = np.empty((2, 3, m))
-        self.rows = blocks.reshape(2, 3 * m)
-        self.head, self.tail, self.diff = blocks[:, 0], blocks[:, 1], blocks[:, 2]
-        self.pair, self.mirror = blocks[0, :2], blocks[1, :2]
-        self.pair_swapped, self.mirror_swapped = self.pair[::-1], self.mirror[::-1]
-        self.magnitude = np.empty_like(self.rows)
-        self.limit = float(np.finfo(dtype).max)
-        self.x = self.rows if dtype == np.float64 else np.empty(self.rows.shape, dtype)
-        self.hidden = [(np.empty((2, w.shape[0]), dtype), np.empty((2, w.shape[0]), dtype))
-                       for w in params.weights[:-1]]
-        self.out = np.empty((2, 1), dtype)
-        self.outputs = self.out.reshape(2)
-
-
-def _lone_buffers(params: MlpParams) -> _LoneBuffers:
+def _lone_scratch(params: MlpParams) -> _Scratch:
     # the dtype, the input width 3M and every layer's width
     key = (params.weights[0].dtype, params.weights[0].shape[1], *map(len, params.biases))
-    buffers = _LONE_SCRATCH.by_shape.get(key)
-    if buffers is None:
-        buffers = _LONE_SCRATCH.by_shape[key] = _LoneBuffers(params)
-    return buffers
+    scratch = _LONE_SCRATCH.by_shape.get(key)
+    if scratch is None:
+        scratch = _LONE_SCRATCH.by_shape[key] = _Scratch(params)
+    return scratch
 
 
-def _lone_input(model: DetectorModel, f, f_prime, buffers: _LoneBuffers) -> np.ndarray:
-    """The network input rows of one (M,) pair of a real dtype, in ``buffers.x``.
+def _network_input(model: DetectorModel, f, f_prime, block, s: _Scratch) -> np.ndarray:
+    """The network input rows of the pairs ``f[block]``, ``f_prime[block]``, in ``s.x``.
 
-    Refuses what :func:`statistic_batch` refuses, with its messages.  Runs
-    inside the ``np.errstate`` of :func:`_statistic_one`.
+    A refusal words what is wrong with all of ``f`` and ``f_prime``.
     """
-    pair = buffers.pair
-    pair[0] = f
-    pair[1] = f_prime
+    s.first[...] = f[block]
+    s.second[...] = f_prime[block]
+    pair = s.pair
     pair -= model.feature_mean
     pair /= model.feature_std
     # + 0.0 turns -0.0 into +0.0, so vectors that compare equal are equal bytes
     pair += 0.0
+    np.copyto(s.mirror, s.pair_swapped)
     # Python orders lists lexicographically: the first unequal entries
-    # decide, and equal vectors keep their order
-    first, second = pair.tolist()
-    if first > second:
-        np.copyto(buffers.mirror, pair)
-        np.copyto(pair, buffers.mirror_swapped)
-    else:
-        np.copyto(buffers.mirror, buffers.pair_swapped)
-    np.subtract(buffers.head, buffers.tail, out=buffers.diff)
+    # decide, and equal vectors keep their order; a swap trades the rows' heads
+    for i, (first, second) in enumerate(s.pairs.tolist()):
+        if first > second:
+            heads = s.heads[i]
+            heads[...] = heads[::-1]
+    np.subtract(s.head, s.tail, out=s.diff)
     # a non-finite input entry stays non-finite in the rows, so this one
-    # bound refuses it too; the inputs are looked at again only for the message
-    if not np.maximum.reduce(np.abs(buffers.rows, out=buffers.magnitude), axis=None) <= buffers.limit:
-        if not (np.isfinite(f).all() and np.isfinite(f_prime).all()):
-            raise ValueError("feature vectors must be finite")
-        raise ValueError(f"standardized feature vectors do not fit in {buffers.x.dtype}")
-    if buffers.x is not buffers.rows:
-        np.copyto(buffers.x, buffers.rows, casting="unsafe")
-    return buffers.x
+    # bound refuses it too; checked_pair then words that refusal
+    if not np.maximum.reduce(np.abs(s.rows, out=s.magnitude), axis=None) <= s.limit:
+        checked_pair(f, f_prime)
+        raise ValueError(f"standardized feature vectors do not fit in {s.x.dtype}")
+    if s.x is not s.rows:
+        np.copyto(s.x, s.rows, casting="unsafe")
+    return s.x
 
 
-def _lone_network(params: MlpParams, slope: float, x: np.ndarray, buffers: _LoneBuffers) -> np.ndarray:
-    """The network's two outputs on the lone input rows ``x``, a (2,) view into ``buffers``.
-
-    Each layer is one 2-D GEMM into its own buffer, then the bias add and
-    the leaky ReLU in place: the bits of :func:`neural.forward` on the
-    (1, 2, 3M) stack, whose one GEMM per layer has this shape.
-    """
-    a = x
-    # zip stops at the last hidden layer
-    for w, b, (z, act) in zip(params.weights, params.biases, buffers.hidden):
-        a = neural._leaky_relu(neural._affine(a, w, b, z), slope, act)
-    neural._affine(a, params.weights[-1], params.biases[-1], buffers.out)
-    return buffers.outputs
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _statistic_one(model: DetectorModel, f, f_prime) -> float:
-    """:func:`statistic_batch` of one (M,) pair of a real dtype, in this thread's scratch."""
-    params = model.params
-    buffers = _lone_buffers(params)
-    x = _lone_input(model, f, f_prime, buffers)
-    first, second = _lone_network(params, model.negative_slope, x, buffers).tolist()
-    g = (first + second) / 2.0
-    if not math.isfinite(g):
-        raise ValueError("detector statistic is not finite")
-    return g
+def _outputs(model: DetectorModel, f, f_prime, block, s: _Scratch) -> np.ndarray:
+    """The network's two outputs on each pair of ``f[block]``, ``f_prime[block]``: ``s.outputs``."""
+    x = _network_input(model, f, f_prime, block, s)
+    neural._layers(model.params, x, model.negative_slope, s.pre, s.acts, s.out)
+    return s.outputs
 
 
 def decide(model, f, f_prime) -> Decision:
@@ -421,7 +378,7 @@ def _loss_from_stacked(
 
 def _stack_both_orders(model: DetectorModel, first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """Standardized rows [f, f', f - f'] of every pair, then [f', f, f' - f] of every pair."""
-    zf, zp = _standardize(model, first), _standardize(model, second)
+    zf, zp = ((v - model.feature_mean) / model.feature_std for v in (first, second))
     return np.concatenate([fixed_first_layer(zf, zp), fixed_first_layer(zp, zf)], axis=0)
 
 

@@ -294,10 +294,13 @@ def sweep_locations(cfg: ExperimentConfig) -> EvalReport:
 def sweep_features(cfg: ExperimentConfig) -> EvalReport:
     """Accuracy versus receiver-channel subset, at a fixed location count."""
     ms = load_corpus(cfg)
-    points = (
-        ("+".join(map(str, s)), select_features(ms, s), cfg.locations_used_features)
-        for s in cfg.feature_subsets
-    )
+    try:  # before any fit
+        points = [
+            ("+".join(map(str, s)), select_features(ms, s), cfg.locations_used_features)
+            for s in cfg.feature_subsets
+        ]
+    except ValueError as exc:
+        raise ConfigError(f"feature_subsets: {exc}") from exc
     return _sweep(cfg, "features", "locations_used_features", points)
 
 

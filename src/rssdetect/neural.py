@@ -13,25 +13,17 @@ gradient checks use.  The detector trains on a float32 copy
 (:meth:`MlpParams.astype`) and keeps the fitted float32 snapshot, so both
 a fit and a trained model's decisions are float32 GEMMs.
 
-Every pass writes into a :class:`Workspace`: preallocated pre-activation,
+Every layer loop is :func:`_layers`, into buffers its caller gives.
+:func:`forward_cached` gives a :class:`Workspace`: pre-activation,
 activation, delta, leaky-derivative and gradient buffers for up to a
-fixed number of rows.  A training fit allocates one workspace for a full
-minibatch and reuses it on every step, slicing its first rows for a
-short last batch, so a step allocates no layer-sized temporaries (only
-the l1 penalty's sign of the narrow first-layer weights).
-:func:`forward_cached` without a workspace runs the same code on a fresh
-one.  A forward pass alone (:func:`forward`) needs no cache and runs its
-own loop on two fresh flat arrays, each layer writing a contiguous prefix
-of them.  A workspace would cost more than a small pass: it holds a
-gradient of every parameter, so building one for a 2-row pass through
-the default 48-512-512-512-1 float32 network took about 230 us, more
-than twice the 95 us of the whole pass (2-core Xeon VM, numpy 2.4 with
-OpenBLAS).  :func:`forward` also takes a stack of batches, (..., B,
-fan_in): ``np.matmul`` then makes one GEMM call per batch, with the shape
-and strides of that batch passed alone, so a batch's outputs do not
-depend on the stack around it.  A lone pair's 2-row pass does not come
-here: ``detector`` runs it on scratch buffers each thread keeps, through
-the same :func:`_affine` and :func:`_leaky_relu` kernels.
+fixed number of rows.  A fit reuses one for every minibatch, slicing its
+first rows for a short last batch, so a step allocates no layer-sized
+temporaries (only the l1 penalty's sign of the first-layer weights).
+:func:`forward` and the detector's decisions need no cache and give
+:func:`_hidden_buffers`.  :func:`forward` also takes a stack of batches,
+(..., B, fan_in): ``np.matmul`` then makes one GEMM call per batch, with
+the shape and strides of that batch passed alone, so a batch's outputs
+do not depend on the stack around it.
 
 Bit-exactness: the in-place kernels give the same bits as the plain
 expressions ``a @ w.T + b``, ``np.where(z > 0, z, s * z)`` and
@@ -53,7 +45,7 @@ import numpy as np
 from .errors import NonFiniteLossError
 
 
-@dataclass
+@dataclass(eq=False)
 class MlpParams:
     """Trainable weights and biases, one (W, b) per layer; also their gradients."""
 
@@ -213,6 +205,30 @@ def _leaky_relu_backprop(delta: np.ndarray, z: np.ndarray, slope: float, factor:
     np.multiply(delta, factor, out=delta)
 
 
+def _hidden_buffers(params: MlpParams, lead: tuple) -> tuple[list, list]:
+    """Per hidden layer, (*lead, width) pre-activation and activation views of
+    two flat arrays, each a prefix (a layer reads its input before writing)."""
+    rows = math.prod(lead)
+    widths = [w.shape[0] for w in params.weights[:-1]]
+    dtype = params.weights[0].dtype
+    size = rows * max(widths, default=0)
+    z_flat, a_flat = np.empty(size, dtype), np.empty(size, dtype)
+    return (
+        [z_flat[: rows * h].reshape(*lead, h) for h in widths],
+        [a_flat[: rows * h].reshape(*lead, h) for h in widths],
+    )
+
+
+def _layers(params: MlpParams, x: np.ndarray, slope: float, pre, acts, out: np.ndarray) -> np.ndarray:
+    """The network on ``x``: hidden layer l into ``pre[l]`` and ``acts[l]``, the
+    output layer into ``out``, which is returned (all of ``x``'s leading shape)."""
+    a = x
+    # zip stops at the last hidden layer
+    for w, b, z, act in zip(params.weights, params.biases, pre, acts):
+        a = _leaky_relu(_affine(a, w, b, z), slope, act)
+    return _affine(a, params.weights[-1], params.biases[-1], out)
+
+
 def forward(params: MlpParams, x: np.ndarray, negative_slope: float = 0.01):
     """Evaluate the network.
 
@@ -230,23 +246,11 @@ def forward(params: MlpParams, x: np.ndarray, negative_slope: float = 0.01):
             f"input width {a.shape[-1]} does not match network input {params.weights[0].shape[1]}"
         )
     _check_slope(negative_slope)
-    # every layer writes a contiguous prefix of one of two flat arrays (a
-    # layer as wide as the last one reuses its views): its pre-activations
-    # into z_flat, its activations into a_flat; the output gets its own
-    # array, so a returned batch does not hold the scratch arrays
     lead = a.shape[:-1]
-    rows = a.size // a.shape[-1]
-    size = rows * max(w.shape[0] for w in params.weights)
-    z_flat, a_flat = np.empty(size, a.dtype), np.empty(size, a.dtype)
-    width = 0
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        if w.shape[0] != width:
-            width = w.shape[0]
-            z_buf = z_flat[: rows * width].reshape(*lead, width)
-            a_buf = a_flat[: rows * width].reshape(*lead, width)
-        a = _leaky_relu(_affine(a, w, b, z_buf), negative_slope, a_buf)
-    out = _affine(a, params.weights[-1], params.biases[-1], np.empty((*lead, 1), a.dtype))[..., 0]
-    return float(out[0]) if single else out
+    # the output gets its own array, so a returned batch does not hold the scratch
+    pre, acts = _hidden_buffers(params, lead)
+    out = _layers(params, a, negative_slope, pre, acts, np.empty((*lead, 1), a.dtype))
+    return float(out[0, 0]) if single else out[..., 0]
 
 
 def forward_cached(
@@ -269,13 +273,9 @@ def forward_cached(
     if rows > ws.rows:
         raise ValueError(f"batch of {rows} rows exceeds the workspace's {ws.rows}")
     # every layer writes into the workspace's buffers, which then form the cache
-    pre, acts = [], [a]
-    for layer, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
-        pre.append(_affine(a, w, b, ws.pre[layer][:rows]))
-        a = _leaky_relu(pre[-1], negative_slope, ws.acts[layer][:rows])
-        acts.append(a)
-    out = _affine(a, params.weights[-1], params.biases[-1], ws.out[:rows])[:, 0]
-    return out, (pre, acts, ws)
+    pre, acts = [z[:rows] for z in ws.pre], [act[:rows] for act in ws.acts]
+    out = _layers(params, a, negative_slope, pre, acts, ws.out[:rows])[:, 0]
+    return out, (pre, [a, *acts], ws)
 
 
 def backward_from_cache(

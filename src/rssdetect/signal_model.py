@@ -90,7 +90,7 @@ class ScenarioConfig:
     gain_group_radius_m: float = 0.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """Frozen realization of a synthetic scenario.
 
@@ -114,7 +114,7 @@ class Scenario:
         return self.receivers.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleWindow:
     """One short record of complex baseband samples at one channel."""
 

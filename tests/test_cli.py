@@ -241,6 +241,18 @@ def test_repeated_grid_point_is_one_error_line(tmp_path, small_args, capsys, com
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subsets", ["0,16", "0,0", "-1"])
+def test_bad_feature_subset_is_one_error_line_naming_the_key(tmp_path, small_args, capsys, subsets):
+    out = tmp_path / "r.csv"
+    argv = ["sweep-features", "--out", str(out), "--seed", "23", "--config", str(small_args)]
+    assert main(argv + ["--subsets", subsets, "--algorithms", "dbc2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: feature_subsets: ")
+    assert not out.exists()
+
+
 RANGE = "must be in [2, 12]"
 SPLIT = "2 locations used with train_fraction = 0.9 give 2 train / 0 validation locations"
 KAPPA = "40 centroids need as many training vectors"

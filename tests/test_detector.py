@@ -162,22 +162,17 @@ def reference_inputs(model: det.DetectorModel, f, f_prime) -> list:
 
 @pytest.fixture
 def network_inputs(monkeypatch):
-    """Every network input, in call order: each stack ``neural.forward`` gets
-    and each lone pair's (2, 3M) rows from ``detector._lone_input``."""
+    """Every network input ``detector._network_input`` builds, in call order:
+    a lone pair's (2, 3M) rows and each block's (pairs, 2, 3M) stack."""
     seen = []
-    forward, lone_input = neural.forward, det._lone_input
+    network_input = det._network_input
 
-    def forward_spy(params, x, slope):
-        seen.append(x.copy())
-        return forward(params, x, slope)
-
-    def lone_spy(model, f, f_prime, buffers):
-        x = lone_input(model, f, f_prime, buffers)
+    def spy(*args):
+        x = network_input(*args)
         seen.append(x.copy())
         return x
 
-    monkeypatch.setattr(neural, "forward", forward_spy)
-    monkeypatch.setattr(det, "_lone_input", lone_spy)
+    monkeypatch.setattr(det, "_network_input", spy)
     return seen
 
 
@@ -199,7 +194,7 @@ class TestStackedEvaluation:
             # swapping only some of the pairs changes no bit either
             assert g.tobytes() == det.statistic_batch(model, mixed_f, mixed_fp).tobytes()
 
-    @pytest.mark.parametrize("n", [1, 2, 7, B - 1, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize("n", [1, 2, 7, B - 1, B, B + 1, 2 * B + 1, 2 * B + 3])
     def test_batch_rows_match_single_pairs(self, n):
         # every pair of the batch, at every position, has its lone statistic's bits
         rng = np.random.default_rng(100 + n)
@@ -380,6 +375,30 @@ class TestLonePair:
             threaded = list(pool.map(lambda t: run(t, wait=True), range(4)))
         assert threaded == serial
 
+    def test_threads_mixing_lone_pairs_and_batches_on_two_shapes_match_a_serial_run(self):
+        # lone decisions and batches of 1, 3 and B + 1 pairs, on two models of
+        # different shapes, interleaved on four threads
+        models = (as_float32(make_model(m=16, hidden=(64, 64, 64), seed=40)), make_model(m=6, seed=41))
+        rng = np.random.default_rng(42)
+        pairs = [(rng.normal(size=(B + 12, m)), rng.normal(size=(B + 12, m))) for m in (16, 6)]
+        barrier = threading.Barrier(4, timeout=60)
+
+        def run(t, wait=False):
+            if wait:
+                barrier.wait()
+            got = []
+            for i in range(12):
+                j = (i + 3 * t) % 12
+                for model, (f, fp) in zip(models, pairs):
+                    got.append(np.float64(det.decide(model, f[j], fp[j]).statistic).tobytes())
+                    n = (1, 3, B + 1)[(i + t) % 3]
+                    got.append(det.statistic_batch(model, f[j : j + n], fp[j : j + n]).tobytes())
+            return got
+
+        serial = [run(t) for t in range(4)]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(lambda t: run(t, wait=True), range(4), timeout=120))
+        assert threaded == serial
 
     def test_threads_on_models_of_two_shapes_match_the_batch_path(self):
         # every thread keeps its own scratch per network shape and dtype: four

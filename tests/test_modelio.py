@@ -1,3 +1,4 @@
+import copy
 import math
 import struct
 
@@ -478,3 +479,34 @@ def test_every_model_that_constructs_loads_back_bit_for_bit(tmp_path_factory, mo
     back = modelio.load_model(path)
     assert type(back) is type(model)
     assert _model_bits(back) == _model_bits(model)
+
+
+def _array_holders():
+    """One of every dataclass with array fields, built by the package."""
+    from rssdetect import benchmarks, dataset, signal_model
+
+    scenario = signal_model.generate_scenario(signal_model.ScenarioConfig(n_locations=4), seed=1)
+    ms = dataset.MeasurementSet(
+        values=np.random.default_rng(2).normal(size=(6, 3, 4)), location_ids=np.arange(6)
+    )
+    params = neural.init_params([12, 5, 1], seed=3)
+    return [
+        DetectorModel(params=params, feature_mean=np.zeros(4), feature_std=np.ones(4)),
+        params,
+        KmcModel(centroids=np.eye(3, 4), threshold=0.5),
+        ms,
+        benchmarks.lloyd_kmeans(ms.values.reshape(-1, 4), 3, seed=4),
+        dataset.build_pair_set(ms, ms.location_ids, 2, seed=5),
+        dataset.split_locations(ms, 6, 0.5, seed=6),
+        scenario,
+        signal_model.draw_sample_window(scenario, 0, 0, 8, seed=7),
+    ]
+
+
+@pytest.mark.parametrize("value", _array_holders(), ids=lambda v: type(v).__name__)
+def test_array_dataclasses_compare_by_identity(value):
+    # the generated __eq__ would compare numpy arrays and raise; identity answers
+    twin = copy.deepcopy(value)
+    assert value == value
+    assert value != twin
+    assert isinstance(hash(value), int) and hash(value) == hash(value)
