@@ -17,8 +17,8 @@ Configuration files are flat ``key = value`` text (``#`` comments).  See
 the README for the key list; defaults are the headline-experiment
 values.  A config file sets no seed: ``--seed`` is the only one.  A flag
 whose ``dest`` is a config key (``--grid`` is ``location_grid``,
-``--subsets`` is ``feature_subsets``) is that key: its value parses
-exactly as the key's does in a file, and overrides the file.
+``--subsets`` is ``feature_subsets``) is that key: argparse keeps its
+string, which parses only as the key's does in a file, and overrides it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from . import evaluation as ev
 from . import invariants as inv
 from . import neural
 from . import signal_model as sm
-from .dataset import MeasurementSet, build_pair_set, load_measurements, save_measurements
+from .dataset import MeasurementSet, _read_lines, build_pair_set, load_measurements, save_measurements
 from .errors import ConfigError
 from .modelio import decide_any, load_model, save_model
 from .seeding import derive_seed
@@ -87,15 +87,14 @@ def _parse_value(key: str, raw: str, current):
 def parse_config_file(path) -> dict[str, str]:
     """Flat key = value lines; '#' starts a comment; blank lines ignored."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            if "=" not in body:
-                raise ConfigError(f"{path}: line {line_no}: expected 'key = value'")
-            key, value = body.split("=", 1)
-            out[key.strip()] = value.strip()
+    for line_no, line in enumerate(_read_lines(path), start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        if "=" not in body:
+            raise ConfigError(f"{path}: line {line_no}: expected 'key = value'")
+        key, value = body.split("=", 1)
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -107,7 +106,7 @@ def apply_config(cfg: ev.ExperimentConfig, kv: dict[str, str]) -> ev.ExperimentC
             raise ConfigError(f"unknown configuration key {key!r}")
         section, name = CONFIG_FIELDS[key]
         owner = cfg if section == "experiment" else getattr(cfg, section)
-        owner = replace(owner, **{name: _parse_value(name, raw, getattr(owner, name))})
+        owner = replace(owner, **{name: _parse_value(key, raw, getattr(owner, name))})
         cfg = owner if section == "experiment" else replace(cfg, **{section: owner})
     return cfg
 
@@ -116,8 +115,8 @@ def _experiment_config(args) -> ev.ExperimentConfig:
     cfg = ev.ExperimentConfig()
     if args.config:
         cfg = apply_config(cfg, parse_config_file(args.config))
-    # a flag whose dest is a config key is that key, parsed from its string
-    flags = {k: str(v) for k, v in vars(args).items() if k in CONFIG_FIELDS and v is not None}
+    # a flag whose dest is a config key is that key: its string parses only here
+    flags = {k: v for k, v in vars(args).items() if k in CONFIG_FIELDS and v is not None}
     cfg = apply_config(cfg, flags)
     if getattr(args, "data", None):
         cfg = replace(cfg, measurements_path=args.data)
@@ -233,9 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--coords-out", default=None, help="optional location coordinates CSV")
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--config", default=None, help="flat key=value config file")
-    gen.add_argument("--locations", type=int, default=None)
-    gen.add_argument("--estimates", type=int, default=None)
-    gen.add_argument("--samples", type=int, default=None, help="samples per RSS estimate (N_s)")
+    gen.add_argument("--locations")
+    gen.add_argument("--estimates")
+    gen.add_argument("--samples", help="samples per RSS estimate (N_s)")
     gen.set_defaults(run=_cmd_generate)
 
     tr = sub.add_parser("train", help="train one algorithm and save a model file")
@@ -246,10 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--config", default=None)
     tr.add_argument("--locations-used", type=int, default=None, help="default: all locations")
     tr.add_argument("--history-out", default=None, help="per-epoch history CSV (dnnc only)")
-    tr.add_argument("--k-train", type=int, default=None, dest="k_train")
-    tr.add_argument("--k-val", type=int, default=None, dest="k_val")
-    tr.add_argument("--kappa", type=int, default=None)
-    tr.add_argument("--train-fraction", type=float, default=None, dest="train_fraction")
+    tr.add_argument("--k-train")
+    tr.add_argument("--k-val")
+    tr.add_argument("--kappa")
+    tr.add_argument("--train-fraction")
     tr.set_defaults(run=_cmd_train)
 
     dec = sub.add_parser("decide", help="apply a saved model to one pair of feature vectors")
@@ -268,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
         sw.add_argument("--seed", type=int, required=True)
         sw.add_argument("--config", default=None)
         sw.add_argument("--data", default=None, help="measurement CSV (default: synthetic)")
-        sw.add_argument("--iterations", type=int, default=None)
-        sw.add_argument("--algorithms", default=None, help="comma list, e.g. dnnc,dbc2")
+        sw.add_argument("--iterations")
+        sw.add_argument("--algorithms", help="comma list, e.g. dnnc,dbc2")
         # the metavar argparse would derive from the flag's own name
         sw.add_argument(flag, dest=key, metavar=flag[2:].upper(), help=flag_help)
         sw.set_defaults(run=_cmd_sweep, sweep=sweep)

@@ -7,6 +7,9 @@ distinct estimates of one location, DIFF pairs are estimates of two
 distinct locations.  Draws follow the uniform with/without-replacement
 recipe exactly, so duplicate pairs across draws are possible and
 accuracies are interpreted as sampling with replacement over pairs.
+
+Every CSV read here or by ``evaluation`` goes through :func:`_read_table`:
+it owns decoding, blank lines, the header check, cell count and row refusal.
 """
 
 from __future__ import annotations
@@ -232,6 +235,11 @@ def select_features(ms: MeasurementSet, channel_ids) -> MeasurementSet:
 # digits so that save -> load round-trips float64 bit-exactly.
 _FLOAT_FMT = "%.16e"
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+_COORDS_HEADER = "location_id,x,y,z"
+
+
+def _measurement_header(m: int) -> str:
+    return "location_id,estimate_id," + ",".join(f"feat_{i}" for i in range(m))
 
 
 def save_measurements(ms: MeasurementSet, path, coords_path=None) -> None:
@@ -241,49 +249,35 @@ def save_measurements(ms: MeasurementSet, path, coords_path=None) -> None:
     row = ",".join(["%d,%d"] + [_FLOAT_FMT] * m)
     locs = ms.location_ids.tolist()
     rows = (row % (loc, j, *f) for loc, fs in zip(locs, ms.values.tolist()) for j, f in enumerate(fs))
-    _write_lines(path, "location_id,estimate_id," + ",".join(f"feat_{i}" for i in range(m)), rows)
+    _write_lines(path, _measurement_header(m), rows)
     if coords_path is not None:
         crow = ",".join(["%d"] + [_FLOAT_FMT] * 3)
         xyz = ms.coordinates.tolist()
-        _write_lines(coords_path, "location_id,x,y,z", (crow % (n, *p) for n, p in zip(locs, xyz)))
+        _write_lines(coords_path, _COORDS_HEADER, (crow % (n, *p) for n, p in zip(locs, xyz)))
 
 
 def load_measurements(path, coords_path=None) -> MeasurementSet:
     """Parse and validate a measurement CSV; errors carry row/column info."""
-    lines = [ln for ln in _read_lines(path) if ln.strip()]
-    if not lines:
-        raise DataFormatError(f"{path}: empty file")
-    header = lines[0].split(",")
-    if header[:2] != ["location_id", "estimate_id"]:
-        raise DataFormatError(f"{path}: bad header {lines[0]!r}")
-    m = len(header) - 2
-    if m < 1 or header[2:] != [f"feat_{i}" for i in range(m)]:
-        raise DataFormatError(f"{path}: bad feature columns in header")
-
     index: dict[int, int] = {}  # location id -> location index, in file order
     seen: set[tuple[int, int]] = set()
-    loc_index, est_ids, feats = [], [], []
-    for row_no, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        try:
-            if len(cells) != m + 2:
-                raise ValueError(f"expected {m + 2} columns, found {len(cells)}")
-            loc, est = int(cells[0]), int(cells[1])
-            if not _INT64_MIN <= loc <= _INT64_MAX:
-                raise ValueError(f"location id {loc} does not fit in 64 bits")
-            row = [float(c) for c in cells[2:]]
-            if not all(map(math.isfinite, row)):
-                col = [math.isfinite(v) for v in row].index(False)
-                raise ValueError(f"non-finite value in feat_{col}")
-            if (loc, est) in seen:
-                raise ValueError(f"duplicate (location {loc}, estimate {est})")
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: row {row_no}: {exc}") from exc
-        seen.add((loc, est))
-        loc_index.append(index.setdefault(loc, len(index)))
-        est_ids.append(est)
-        feats.append(row)
 
+    def parse(cells):
+        loc, est = int(cells[0]), int(cells[1])
+        if not _INT64_MIN <= loc <= _INT64_MAX:
+            raise ValueError(f"location id {loc} does not fit in 64 bits")
+        row = list(map(float, cells[2:]))
+        if not all(map(math.isfinite, row)):
+            col = [math.isfinite(v) for v in row].index(False)
+            raise ValueError(f"non-finite value in feat_{col}")
+        if (loc, est) in seen:
+            raise ValueError(f"duplicate (location {loc}, estimate {est})")
+        seen.add((loc, est))
+        return index.setdefault(loc, len(index)), est, row
+
+    rows = _read_table(path, lambda h: h == _measurement_header(h.count(",") - 1), parse)
+    if not rows:
+        raise DataFormatError(f"{path}: no data rows")
+    loc_index, est_ids, feats = zip(*rows)
     e_counts = np.unique(np.bincount(loc_index)).tolist()
     if len(e_counts) != 1:
         raise DataFormatError(f"{path}: locations have inconsistent estimate counts {e_counts}")
@@ -295,16 +289,12 @@ def load_measurements(path, coords_path=None) -> MeasurementSet:
     bad = [n for n, j in zip(loc_index, est_ids) if not 0 <= j < e]
     if bad:
         raise DataFormatError(f"{path}: location {order[min(bad)]}: estimate ids must be 0..{e - 1}")
-    values = np.empty((len(order), e, m))
+    values = np.empty((len(order), e, len(feats[0])))
     values[loc_index, est_ids] = feats
-
-    coordinates = None
-    if coords_path is not None:
-        coordinates = _load_coordinates(coords_path, order)
     return MeasurementSet(
         values=values,
         location_ids=np.asarray(order, dtype=np.int64),
-        coordinates=coordinates,
+        coordinates=None if coords_path is None else _load_coordinates(coords_path, order),
     )
 
 
@@ -317,6 +307,29 @@ def _read_lines(path) -> list[str]:
         raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
+def _read_table(path, header_ok, parse) -> list:
+    """``parse(cells)`` of each data row of the UTF-8 CSV at ``path``.  Lines
+    are stripped and blank ones skipped; the first left is the header, refused
+    unless ``header_ok(header)``.  A row whose cell count differs from the
+    header's, or that ``parse`` raises ``ValueError`` on, is refused as
+    ``{path}: row N: ...``, N its line number in the file."""
+    rows = ((n, ln) for n, ln in enumerate(map(str.strip, _read_lines(path)), start=1) if ln)
+    _, header = next(rows, (0, ""))
+    if not header_ok(header):
+        raise DataFormatError(f"{path}: bad header {header!r}" if header else f"{path}: empty file")
+    n_cells = header.count(",") + 1
+    out = []
+    for row_no, line in rows:
+        cells = line.split(",")
+        try:
+            if len(cells) != n_cells:
+                raise ValueError(f"expected {n_cells} columns, found {len(cells)}")
+            out.append(parse(cells))
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: row {row_no}: {exc}") from exc
+    return out
+
+
 def _write_lines(path, header: str, rows) -> None:
     """Write ``header``, then each string of ``rows``, one UTF-8 line each."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -326,23 +339,17 @@ def _write_lines(path, header: str, rows) -> None:
 def _load_coordinates(path, location_order: list[int]) -> np.ndarray:
     """The (x, y, z) row of each location, in ``location_order``; a row
     with a non-finite coordinate or a repeated location id is refused."""
-    lines = [ln.strip() for ln in _read_lines(path) if ln.strip()]
-    if not lines or lines[0] != "location_id,x,y,z":
-        raise DataFormatError(f"{path}: bad coordinates header")
     coords: dict[int, list[float]] = {}
-    for row_no, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        try:
-            if len(cells) != 4:
-                raise ValueError("expected 4 columns")
-            loc, xyz = int(cells[0]), [float(c) for c in cells[1:]]
-            if not all(map(math.isfinite, xyz)):
-                raise ValueError(f"non-finite coordinate in {cells[1:]}")
-            if loc in coords:
-                raise ValueError(f"repeated location id {loc}")
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: row {row_no}: {exc}") from exc
+
+    def parse(cells):
+        loc, xyz = int(cells[0]), [float(c) for c in cells[1:]]
+        if not all(map(math.isfinite, xyz)):
+            raise ValueError(f"non-finite coordinate in {cells[1:]}")
+        if loc in coords:
+            raise ValueError(f"repeated location id {loc}")
         coords[loc] = xyz
+
+    _read_table(path, lambda h: h == _COORDS_HEADER, parse)
     missing = [loc for loc in location_order if loc not in coords]
     if missing:
         raise DataFormatError(f"{path}: missing coordinates for locations {missing}")

@@ -32,9 +32,9 @@ import numpy as np
 from . import benchmarks as bm
 from . import detector as det
 from .dataset import LocationSplit, MeasurementSet, PairSet
-from .dataset import _read_lines, _write_lines, build_pair_set, load_measurements, select_features
+from .dataset import _read_table, _write_lines, build_pair_set, load_measurements, select_features
 from .dataset import split_locations, split_sizes
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError
 from .neural import TrainConfig, TrainHistory
 from .seeding import derive_seed
 from .signal_model import ScenarioConfig, generate_scenario, simulate_measurement_set
@@ -327,30 +327,23 @@ def _unit_interval(what: str, text: str) -> float:
 
 
 def _parse_rows(path, header: str, parse) -> list:
-    """``parse(*cells)`` of each data row; a wrong header or cell count, an
-    algorithm (the first cell) no sweep runs, a second ``sweep_var`` (the
-    second cell), a ``ValueError`` from ``parse`` or non-UTF-8 bytes raise
-    ``DataFormatError``."""
-    lines = [ln for ln in _read_lines(path) if ln.strip()]
-    if not lines or lines[0] != header:
-        raise DataFormatError(f"{path}: bad header, expected {header!r}")
-    n_cells = header.count(",") + 1
-    out, sweep_var = [], None
-    for row_no, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        try:
-            if len(cells) != n_cells:
-                raise ValueError(f"expected {n_cells} columns, found {len(cells)}")
-            if cells[0] not in ALGORITHMS + CALIBRATION_ALGORITHMS:
-                raise ValueError(f"unknown algorithm {cells[0]!r}")
-            if sweep_var is None:
-                sweep_var = cells[1]
-            elif cells[1] != sweep_var:
-                raise ValueError(f"sweep_var {cells[1]!r} after {sweep_var!r}; a file holds one sweep")
-            out.append(parse(*cells))
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: row {row_no}: {exc}") from exc
-    return out
+    """``parse(*cells)`` of each data row of the report at ``path``, read by
+    ``dataset._read_table`` under the fixed ``header``; a row naming an
+    algorithm no sweep runs (the first cell) or a second ``sweep_var`` (the
+    second cell) is refused as well."""
+    sweep_var = None
+
+    def row(cells):
+        nonlocal sweep_var
+        if cells[0] not in ALGORITHMS + CALIBRATION_ALGORITHMS:
+            raise ValueError(f"unknown algorithm {cells[0]!r}")
+        if sweep_var is None:
+            sweep_var = cells[1]
+        elif cells[1] != sweep_var:
+            raise ValueError(f"sweep_var {cells[1]!r} after {sweep_var!r}; a file holds one sweep")
+        return parse(*cells)
+
+    return _read_table(path, lambda h: h == header, row)
 
 
 def read_report(path) -> list[ReportRow]:

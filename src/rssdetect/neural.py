@@ -104,21 +104,18 @@ class TrainConfig:
     init_scale: float = 1.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if self.l1_lambda < 0:
-            raise ValueError(f"l1_lambda must be >= 0, got {self.l1_lambda}")
+        # every comparison is written to fail on NaN
+        for name in ("learning_rate", "init_scale"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        for name in ("batch_size", "max_epochs", "patience"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 <= self.l1_lambda < math.inf:
+            raise ValueError(f"l1_lambda must be finite and >= 0, got {self.l1_lambda}")
         _check_slope(self.negative_slope)
         if any(size < 1 for size in self.hidden_sizes):
             raise ValueError(f"hidden_sizes entries must be >= 1, got {self.hidden_sizes}")
-        if self.init_scale <= 0:
-            raise ValueError(f"init_scale must be > 0, got {self.init_scale}")
 
 
 @dataclass

@@ -538,6 +538,14 @@ def test_keys_that_change_no_output_are_refused(tmp_path, capsys, key, value):
         ("tx_power_dbm = nan", "tx_power_dbm"),
         ("tx_power_dbm = inf", "tx_power_dbm"),
         ("gain_group_radius_m = nan", "gain_group_radius_m"),
+        # training keys
+        ("learning_rate = nan", "learning_rate"),
+        ("learning_rate = inf", "learning_rate"),
+        ("l1_lambda = nan", "l1_lambda"),
+        ("l1_lambda = inf", "l1_lambda"),
+        ("init_scale = nan", "init_scale"),
+        ("init_scale = inf", "init_scale"),
+        ("patience = nan", "patience"),
     ],
 )
 def test_bad_scenario_value_is_one_error_line_naming_the_key(tmp_path, capsys, line, key):
@@ -550,6 +558,43 @@ def test_bad_scenario_value_is_one_error_line_naming_the_key(tmp_path, capsys, l
     assert captured.out == ""
     assert captured.err.startswith(f"error: {key}") and captured.err.count("\n") == 1
     assert not out.exists()
+
+
+def test_non_utf8_config_file_is_one_error_line_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"locations = 6\nnoise_dbm = -80\xff\n")
+    out = tmp_path / "m.csv"
+    assert main(["generate", "--out", str(out), "--seed", "1", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {cfg}: not UTF-8 text") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, key",
+    [
+        ("generate", "--locations", "x", "locations"),
+        ("train", "--k-train", "x", "k_train"),
+        ("train", "--kappa", "2.5", "kappa"),
+        ("train", "--train-fraction", "abc", "train_fraction"),
+        ("sweep-locations", "--iterations", "1.5", "iterations"),
+    ],
+)
+def test_unparsable_key_flag_is_one_error_line_naming_the_key(tmp_path, capsys, command, flag, value, key):
+    # argparse takes the string; the key's own parser refuses it
+    out = tmp_path / "out"
+    argv = {
+        "generate": ["--out", str(out)],
+        "train": ["--data", str(tmp_path / "m.csv"), "--algorithm", "kmc", "--model-out", str(out)],
+        "sweep-locations": ["--out", str(out), "--algorithms", "dbc1"],
+    }[command]
+    assert main([command, *argv, "--seed", "1", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {key}: cannot parse value {value!r}")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("line", ["tx_power_dbm = -inf", "noise_dbm = -inf"])

@@ -1,4 +1,5 @@
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,31 @@ class TestBuildPairSet:
         with pytest.raises(ValueError, match="2 locations"):
             ds.build_pair_set(ms, ms.location_ids[:1], k=5, seed=9)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: {"k_per_class": p.k_per_class + 1}, "pair arrays must hold exactly 2K pairs"),
+            (
+                lambda p: {"location_b": np.r_[p.location_a[0] + 1, p.location_b[1:]]},
+                "SAME pairs must share a location",
+            ),
+            (
+                lambda p: {"estimate_b": np.r_[p.estimate_a[0], p.estimate_b[1:]]},
+                "SAME pairs must .* use distinct estimates",
+            ),
+            (
+                lambda p: {"location_b": np.r_[p.location_b[:5], p.location_a[5], p.location_b[6:]]},
+                "DIFF pairs must use distinct locations",
+            ),
+        ],
+        ids=["pair count", "SAME locations", "SAME estimates", "DIFF locations"],
+    )
+    def test_pair_set_refuses_a_broken_layout(self, edit, message):
+        ms = make_corpus()
+        pairs = ds.build_pair_set(ms, ms.location_ids, k=5, seed=10)
+        with pytest.raises(ValueError, match=message):
+            replace(pairs, **edit(pairs))
+
 
 class TestSplitLocations:
     def test_figure_split_sizes(self):
@@ -145,6 +171,11 @@ class TestSplitLocations:
         split = ds.split_locations(ms, 9, 0.7, seed=2)
         merged = np.concatenate([split.train_ids, split.val_ids, split.test_ids])
         assert sorted(merged.tolist()) == sorted(ms.location_ids.tolist())
+
+    @pytest.mark.parametrize("parts", [([1, 2], [2], [3]), ([1], [2], [1, 3]), ([1], [2, 3], [3])])
+    def test_overlapping_parts_rejected(self, parts):
+        with pytest.raises(ValueError, match="split parts must be pairwise disjoint"):
+            ds.LocationSplit(*map(np.array, parts))
 
     def test_empty_validation_rejected(self):
         ms = make_corpus(l=10)
@@ -262,6 +293,33 @@ class TestMeasurementFile:
         with pytest.raises(DataFormatError, match=r"location 9: estimate ids must be 0\.\.1"):
             ds.load_measurements(path)
 
+    @pytest.mark.parametrize(
+        "text, row_no, what",
+        [
+            ("location_id,estimate_id,feat_0\n0,0,-70\n\n0,1,nan\n", 4, "non-finite value"),
+            ("\n\nlocation_id,estimate_id,feat_0\n0,0,-70\n0,1\n", 5, "expected 3 columns"),
+            ("location_id,estimate_id,feat_0\n  \n0,0,-70\n\t\n0,0,-71\n", 5, "duplicate"),
+        ],
+        ids=["blank line", "blank lines before the header", "whitespace lines"],
+    )
+    def test_row_number_is_the_line_number(self, tmp_path, text, row_no, what):
+        # blank lines are skipped but still counted
+        path = tmp_path / "blank.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=f"row {row_no}: {what}"):
+            ds.load_measurements(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["location_id,estimate_id,feat_0\n", "location_id,estimate_id,feat_0\n\n \n"],
+        ids=["header", "header and blank lines"],
+    )
+    def test_header_only_file_rejected(self, tmp_path, text):
+        path = tmp_path / "header.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match="header.csv: no data rows$"):
+            ds.load_measurements(path)
+
     def test_estimates_in_any_row_order_load_by_id(self, tmp_path):
         path = tmp_path / "shuffled.csv"
         path.write_text("location_id,estimate_id,feat_0\n5,1,-2\n3,1,-4\n5,0,-1\n3,0,-3\n")
@@ -275,6 +333,7 @@ class TestMeasurementFile:
             ("7,nan,0,0\n9,1,1,1\n", 2, "non-finite coordinate"),
             ("7,0,0,0\n9,1,-inf,1\n", 3, "non-finite coordinate"),
             ("7,0,0,0\n9,1,1,1\n9,2,2,2\n", 4, "repeated location id 9"),
+            ("7,0,0,0\n\n9,1,-inf,1\n", 4, "non-finite coordinate"),
         ],
     )
     def test_bad_coordinates_name_the_row(self, tmp_path, rows, row_no, what):

@@ -68,6 +68,27 @@ class TestConfigValidation:
             small_cfg(iterations=0)
 
     @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("algorithms", ()),
+            ("location_grid", ()),
+            ("feature_subsets", ()),
+            ("n_samples", 0),
+            ("n_estimates", 1),
+            ("k_train", 0),
+            ("k_val", 0),
+            ("k_test", 0),
+            ("train_fraction", 0.0),
+            ("train_fraction", 1.0),
+            ("train_fraction", float("nan")),
+            ("kappa", 0),
+        ],
+    )
+    def test_out_of_range_field_refused(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            small_cfg(**{field: value})
+
+    @pytest.mark.parametrize(
         "field, values",
         [
             ("location_grid", (10, 20, 10)),

@@ -192,6 +192,22 @@ def test_summary_report_rows_refused(tmp_path, row):
         ev.read_report(path)
 
 
+@pytest.mark.parametrize(
+    "read, header, good, bad",
+    [
+        (ev.read_report, ev.REPORT_HEADER, "kmc,locations,8,0.5,nan,1", "kmc,locations,9,1.5,nan,1"),
+        (ev.read_report_raw, ev.RAW_HEADER, "kmc,locations,8,0,0.5", "kmc,locations,8,1,1.5"),
+    ],
+    ids=["summary", "raw"],
+)
+def test_report_row_number_is_the_line_number(tmp_path, read, header, good, bad):
+    # blank lines are skipped but still counted
+    path = tmp_path / "r.csv"
+    path.write_text("\n".join([header, "", good, " ", bad]) + "\n")
+    with pytest.raises(DataFormatError, match="row 5: .*outside"):
+        read(path)
+
+
 def test_summary_report_with_two_sweep_vars_refused(tmp_path):
     path = tmp_path / "r.csv"
     rows = ["dbc2,locations,8,0.5,nan,1", "dbc2,features,0+1,0.5,nan,1"]

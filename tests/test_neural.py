@@ -68,6 +68,33 @@ def test_train_config_rejects_non_positive_hidden_size(hidden):
         TrainConfig(hidden_sizes=hidden)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("learning_rate", 0.0),
+        ("learning_rate", -0.1),
+        ("learning_rate", math.nan),
+        ("learning_rate", math.inf),
+        ("batch_size", 0),
+        ("max_epochs", 0),
+        ("patience", 0),
+        ("patience", math.nan),
+        ("l1_lambda", -1e-4),
+        ("l1_lambda", math.nan),
+        ("l1_lambda", math.inf),
+        ("negative_slope", -0.01),
+        ("negative_slope", 1.5),
+        ("negative_slope", math.nan),
+        ("init_scale", 0.0),
+        ("init_scale", math.nan),
+        ("init_scale", math.inf),
+    ],
+)
+def test_train_config_refusal_names_the_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        TrainConfig(**{field: value})
+
+
 class TestForward:
     def test_zero_params_give_zero(self):
         params = neural.init_params([3, 4, 4, 4, 1], seed=0)
